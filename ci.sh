@@ -13,6 +13,13 @@ cargo build --release --offline --locked --workspace
 echo "==> cargo test"
 cargo test -q --offline --locked --workspace
 
+echo "==> perfbench: build and unit tests"
+# perfbench is its own workspace, so the workspace build above never
+# compiles it; it calls the query and store API directly. .bench_build/
+# is gitignored.
+CARGO_TARGET_DIR=.bench_build cargo build --release --offline --locked --manifest-path perfbench/Cargo.toml
+CARGO_TARGET_DIR=.bench_build cargo test -q --release --offline --locked --manifest-path perfbench/Cargo.toml
+
 echo "==> metrics determinism (thread counts 1/2/4/8)"
 cargo test -q --offline --locked --test parallel_determinism metrics_identical_across_thread_counts
 

@@ -59,7 +59,7 @@ fn bench_queries(c: &mut Criterion) {
                 |b, w| {
                     b.iter_batched(
                         || w.clone(),
-                        |w| black_box(value_trace(&w, load).unwrap().len()),
+                        |w| black_box(value_trace(&w, load, w.config().stream.num_threads).unwrap().len()),
                         criterion::BatchSize::LargeInput,
                     );
                 },
@@ -70,7 +70,10 @@ fn bench_queries(c: &mut Criterion) {
                 |b, w| {
                     b.iter_batched(
                         || w.clone(),
-                        |w| black_box(address_trace(&w, &program, load).unwrap().len()),
+                        |w| {
+                            let threads = w.config().stream.num_threads;
+                            black_box(address_trace(&w, &program, load, threads).unwrap().len())
+                        },
                         criterion::BatchSize::LargeInput,
                     );
                 },

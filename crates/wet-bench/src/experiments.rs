@@ -248,17 +248,18 @@ pub fn table7(scale: &Scale) {
     for kind in Kind::all() {
         let mut b = build_wet(kind, scale.timing_stmts, scale.wet_config());
         let loads = mem_stmts(&b.program, false);
+        let threads = b.wet.config().stream.num_threads;
         let (n_vals, t1) = timed(|| {
             let mut n = 0u64;
             for &s in &loads {
-                n += value_trace(&b.wet, s).unwrap().len() as u64;
+                n += value_trace(&b.wet, s, threads).unwrap().len() as u64;
             }
             n
         });
         b.wet.compress();
         let (_, t2) = timed(|| {
             for &s in &loads {
-                value_trace(&b.wet, s).unwrap();
+                value_trace(&b.wet, s, threads).unwrap();
             }
         });
         let m = mb(8 * n_vals);
@@ -286,17 +287,18 @@ pub fn table8(scale: &Scale) {
     for kind in Kind::all() {
         let mut b = build_wet(kind, scale.timing_stmts, scale.wet_config());
         let stmts = mem_stmts(&b.program, true);
+        let threads = b.wet.config().stream.num_threads;
         let (n_addrs, t1) = timed(|| {
             let mut n = 0u64;
             for &s in &stmts {
-                n += address_trace(&b.wet, &b.program, s).unwrap().len() as u64;
+                n += address_trace(&b.wet, &b.program, s, threads).unwrap().len() as u64;
             }
             n
         });
         b.wet.compress();
         let (_, t2) = timed(|| {
             for &s in &stmts {
-                address_trace(&b.wet, &b.program, s).unwrap();
+                address_trace(&b.wet, &b.program, s, threads).unwrap();
             }
         });
         let m = mb(8 * n_addrs);

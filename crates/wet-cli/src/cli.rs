@@ -196,9 +196,12 @@ usage:
             exhaustion the answer comes back partial (exit 0) with
             quality `degraded` and a gap report, never an error and
             never fabricated data (cf_trace forward, value_trace,
-            address_trace; slices don't take budgets). Every query
-            response carries `quality: full|degraded`. Prints the
-            JSON result.
+            address_trace; slices don't take budgets). --degraded
+            asks for the salvage answer instead of a typed corrupt
+            error: whatever the surviving sections support, with the
+            same gap report (cf_trace forward, value_trace,
+            address_trace, slice). Every query response carries
+            `quality: full|degraded`. Prints the JSON result.
       drill: replay a seeded schedule of misbehaving clients
             (slow-loris, mid-frame cuts, garbage frames, deadline
             storms, cancel races) against a running server and verify

@@ -86,8 +86,8 @@ pub use salvage::{FsckReport, SectionReport, SectionStatus};
 pub use seq::Seq;
 pub use serial::{section_spans, SectionSpan};
 pub use store::{
-    resolve_under, sections_for_op, LazySection, PinGuard, StoreErr, StoreOptions, StoredTrace,
-    TraceInfo, TraceStore, LAZY_SECTIONS,
+    resolve_under, sections_for_address_trace, sections_for_op, LazySection, PinGuard, StoreErr, StoreOptions,
+    StoredTrace, TraceInfo, TraceStore, LAZY_SECTIONS,
 };
 pub use sizes::{ratio, CompressStats, StreamClass, WetSizes, WetStats};
 
@@ -183,7 +183,7 @@ mod tests {
                 let stmt = wet_ir::StmtId(stmt_id);
                 let expected: Vec<i64> = rec.values_of(stmt);
                 let got: Vec<i64> =
-                    query::value_trace(&wet, stmt).unwrap().into_iter().map(|(_, v)| v).collect();
+                    query::value_trace(&wet, stmt, 1).unwrap().into_iter().map(|(_, v)| v).collect();
                 assert_eq!(got, expected, "value trace mismatch for {stmt} (group={group})");
             }
         }
@@ -218,7 +218,7 @@ mod tests {
                 let stmt = wet_ir::StmtId(stmt_id);
                 let expected = rec.addresses_of(stmt);
                 let got: Vec<u64> =
-                    query::address_trace(&wet, &p, stmt).unwrap().into_iter().map(|(_, a)| a).collect();
+                    query::address_trace(&wet, &p, stmt, 1).unwrap().into_iter().map(|(_, a)| a).collect();
                 assert_eq!(got, expected, "address trace mismatch for {stmt} (tier2={tier2})");
             }
         }
@@ -234,7 +234,7 @@ mod tests {
         assert_eq!(query::expand_blocks(&wet, &fwd), rec.block_trace());
         for stmt_id in 0..p.stmt_count() as u32 {
             let stmt = wet_ir::StmtId(stmt_id);
-            let got: Vec<u64> = query::address_trace(&wet, &p, stmt).unwrap().into_iter().map(|(_, a)| a).collect();
+            let got: Vec<u64> = query::address_trace(&wet, &p, stmt, 1).unwrap().into_iter().map(|(_, a)| a).collect();
             assert_eq!(got, rec.addresses_of(stmt), "{stmt}");
         }
     }
@@ -254,13 +254,13 @@ mod tests {
         let (mut wet, _) = build_wet(&p, &[60], WetConfig::default());
         wet.compress();
         let strict = query::cf_trace_forward(&mut wet).unwrap();
-        let (deg_steps, deg) = query::cf_trace_forward_degraded(&wet);
+        let (deg_steps, deg) = query::cf_trace_forward_partial(&wet, &query::Ctl::unbounded()).unwrap();
         assert_eq!(deg_steps, strict);
         assert!(deg.is_complete());
         for stmt_id in 0..p.stmt_count() as u32 {
             let stmt = wet_ir::StmtId(stmt_id);
-            let (vals, dv) = query::value_trace_degraded(&wet, stmt);
-            assert_eq!(vals, query::value_trace(&wet, stmt).unwrap(), "{stmt}");
+            let (vals, dv) = query::value_trace_partial(&wet, stmt, 1, &query::Ctl::unbounded()).unwrap();
+            assert_eq!(vals, query::value_trace(&wet, stmt, 1).unwrap(), "{stmt}");
             assert!(dv.is_complete());
         }
     }
@@ -281,11 +281,11 @@ mod tests {
         m[vals.payload_start + 3] ^= 0x10;
         let (salvaged, report) = Wet::read_salvaging(&mut m.as_slice()).unwrap();
         assert!(report.seqs_lost > 0);
-        let (steps, cf_deg) = query::cf_trace_forward_degraded(&salvaged);
+        let (steps, cf_deg) = query::cf_trace_forward_partial(&salvaged, &query::Ctl::unbounded()).unwrap();
         assert_eq!(steps, query::cf_trace_forward(&mut wet).unwrap(), "cf trace fully recovered");
         assert!(cf_deg.is_complete());
         let stmt = wet_ir::StmtId(0);
-        let (vals_deg, dv) = query::value_trace_degraded(&salvaged, stmt);
+        let (vals_deg, dv) = query::value_trace_partial(&salvaged, stmt, 1, &query::Ctl::unbounded()).unwrap();
         assert!(vals_deg.is_empty());
         assert!(dv.nodes_skipped > 0);
 
@@ -296,7 +296,7 @@ mod tests {
         let mut m2 = bytes.clone();
         m2[tseq.payload_start + 1] ^= 0x02;
         let (salvaged2, _) = Wet::read_salvaging(&mut m2.as_slice()).unwrap();
-        let (steps2, deg2) = query::cf_trace_forward_degraded(&salvaged2);
+        let (steps2, deg2) = query::cf_trace_forward_partial(&salvaged2, &query::Ctl::unbounded()).unwrap();
         assert!(steps2.is_empty());
         assert!(deg2.gaps > 0);
         let (_, first_ts) = salvaged2.first();
@@ -316,7 +316,7 @@ mod tests {
         let lost_execs = wet.node(lost).n_execs as u64;
         assert!(lost_execs > 0, "test node must execute");
         wet.node_mut(lost).ts = Seq::Unavailable(lost_execs);
-        let (steps, deg) = query::cf_trace_forward_degraded(&wet);
+        let (steps, deg) = query::cf_trace_forward_partial(&wet, &query::Ctl::unbounded()).unwrap();
         assert_eq!(deg.nodes_skipped, 1);
         assert_eq!(deg.steps_missing, lost_execs);
         assert!(deg.gaps >= 1);
@@ -336,7 +336,8 @@ mod tests {
             query::WetSliceElem { node: e.dst_node, stmt: e.dst_stmt, k: 0 }
         };
         let strict = query::backward_slice(&mut wet, &p, criterion, Default::default()).unwrap();
-        let (same, deg) = query::backward_slice_degraded(&mut wet, &p, criterion, Default::default());
+        let ctl = query::Ctl::unbounded();
+        let (same, deg) = query::backward_slice_partial(&mut wet, &p, criterion, Default::default(), &ctl).unwrap();
         assert_eq!(same.stamped, strict.stamped);
         assert!(deg.is_complete());
         // Lose every edge label: the slice shrinks, the report says so.
@@ -347,7 +348,8 @@ mod tests {
         let mut m = bytes.clone();
         m[edgl.payload_start] ^= 0x01;
         let (mut salvaged, _) = Wet::read_salvaging(&mut m.as_slice()).unwrap();
-        let (partial, deg2) = query::backward_slice_degraded(&mut salvaged, &p, criterion, Default::default());
+        let (partial, deg2) =
+            query::backward_slice_partial(&mut salvaged, &p, criterion, Default::default(), &ctl).unwrap();
         assert!(partial.stamped.len() <= strict.stamped.len());
         assert!(deg2.seqs_unavailable > 0);
     }

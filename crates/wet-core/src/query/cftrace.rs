@@ -16,6 +16,7 @@
 
 use crate::graph::{NodeId, Wet};
 use crate::query::ctl::{Ctl, QueryErr};
+use crate::query::Degraded;
 use wet_ir::{BlockId, FuncId};
 
 /// One step of the node-level control-flow trace.
@@ -38,45 +39,7 @@ pub fn cf_trace_forward(wet: &mut Wet) -> Result<Vec<CfStep>, QueryErr> {
 /// once per [`crate::query::CHECK_INTERVAL`] steps.
 pub fn cf_trace_forward_ctl(wet: &mut Wet, ctl: &Ctl) -> Result<Vec<CfStep>, QueryErr> {
     let _span = wet_obs::span!("query.cf_trace_forward");
-    let _p = ctl.phase("engine.cf_trace");
-    let (first, first_ts) = wet.first();
-    let (_, last_ts) = wet.last();
-    let mut steps = Vec::with_capacity((last_ts - first_ts + 1) as usize);
-    let mut node = first;
-    let k0 = wet
-        .node_mut(node)
-        .ts
-        .find_sorted(first_ts)
-        .ok_or_else(|| QueryErr::Corrupt(format!("first node does not hold ts {first_ts}")))?;
-    steps.push(CfStep { node, k: k0 as u32, ts: first_ts });
-    let mut ts = first_ts;
-    while ts < last_ts {
-        ctl.check_every(steps.len())?;
-        let next_ts = ts + 1;
-        let succs: Vec<NodeId> = wet.node(node).cf_succs.clone();
-        let mut found = None;
-        for s in succs {
-            // Range skip: a successor whose timestamp interval excludes
-            // the target needs no stream probe at all.
-            {
-                let n = wet.node(s);
-                if next_ts < n.ts_first || next_ts > n.ts_last {
-                    continue;
-                }
-            }
-            if let Some(k) = wet.node_mut(s).ts.find_sorted(next_ts) {
-                found = Some((s, k));
-                break;
-            }
-        }
-        let (s, k) =
-            found.ok_or_else(|| QueryErr::Corrupt(format!("no successor node holds ts {next_ts}")))?;
-        steps.push(CfStep { node: s, k: k as u32, ts: next_ts });
-        node = s;
-        ts = next_ts;
-    }
-    ctl.note("cf.steps", steps.len() as u64);
-    Ok(steps)
+    cf_trace_whole(wet, true, ctl)
 }
 
 /// Extracts the full control-flow trace back to front. The returned
@@ -88,122 +51,92 @@ pub fn cf_trace_backward(wet: &mut Wet) -> Result<Vec<CfStep>, QueryErr> {
 /// [`cf_trace_backward`] with cooperative cancellation.
 pub fn cf_trace_backward_ctl(wet: &mut Wet, ctl: &Ctl) -> Result<Vec<CfStep>, QueryErr> {
     let _span = wet_obs::span!("query.cf_trace_backward");
-    let (last, last_ts) = wet.last();
-    let (_, first_ts) = wet.first();
-    let mut steps = Vec::with_capacity((last_ts - first_ts + 1) as usize);
-    let mut node = last;
-    let k0 = wet
+    cf_trace_whole(wet, false, ctl)
+}
+
+/// The whole trace from the first (or last) execution.
+fn cf_trace_whole(wet: &mut Wet, forward: bool, ctl: &Ctl) -> Result<Vec<CfStep>, QueryErr> {
+    let (end, (node, ts)) = if forward { ("first", wet.first()) } else { ("last", wet.last()) };
+    let k = wet
         .node_mut(node)
         .ts
-        .find_sorted(last_ts)
-        .ok_or_else(|| QueryErr::Corrupt(format!("last node does not hold ts {last_ts}")))?;
-    steps.push(CfStep { node, k: k0 as u32, ts: last_ts });
-    let mut ts = last_ts;
-    while ts > first_ts {
+        .find_sorted(ts)
+        .ok_or_else(|| QueryErr::Corrupt(format!("{end} node does not hold ts {ts}")))?;
+    cf_walk(wet, CfStep { node, k: k as u32, ts }, forward, usize::MAX, ctl)
+}
+
+/// Walks up to `count` steps (at least `start` itself) from `start`
+/// towards the end of the execution in the given direction, recording
+/// the `engine.cf_trace` phase and the `cf.steps` note on `ctl`.
+fn cf_walk(wet: &mut Wet, start: CfStep, forward: bool, count: usize, ctl: &Ctl) -> Result<Vec<CfStep>, QueryErr> {
+    let _p = ctl.phase("engine.cf_trace");
+    let (_, first_ts) = wet.first();
+    let (_, last_ts) = wet.last();
+    let span = if forward { last_ts.saturating_sub(start.ts) } else { start.ts.saturating_sub(first_ts) };
+    let mut steps = Vec::with_capacity(span.min(count as u64) as usize + 1);
+    steps.push(start);
+    let mut at = start;
+    while steps.len() < count && if forward { at.ts < last_ts } else { at.ts > first_ts } {
         ctl.check_every(steps.len())?;
-        let prev_ts = ts - 1;
-        let preds: Vec<NodeId> = wet.node(node).cf_preds.clone();
-        let mut found = None;
-        for p in preds {
-            {
-                let n = wet.node(p);
-                if prev_ts < n.ts_first || prev_ts > n.ts_last {
-                    continue;
-                }
-            }
-            if let Some(k) = wet.node_mut(p).ts.find_sorted(prev_ts) {
-                found = Some((p, k));
-                break;
-            }
-        }
-        let (p, k) =
-            found.ok_or_else(|| QueryErr::Corrupt(format!("no predecessor node holds ts {prev_ts}")))?;
-        steps.push(CfStep { node: p, k: k as u32, ts: prev_ts });
-        node = p;
-        ts = prev_ts;
+        at = cf_step(wet, at, forward)?;
+        steps.push(at);
     }
+    ctl.note("cf.steps", steps.len() as u64);
     Ok(steps)
 }
 
-/// Salvage-tolerant forward control-flow trace: recovers every step
-/// whose node timestamp stream survived, in execution order, and
-/// reports the holes. Where [`cf_trace_forward`] returns
-/// [`QueryErr::Corrupt`] if a timestamp cannot be located, this variant
-/// resynchronizes past the missing range and counts it as a gap —
-/// partial results instead of no results, which is the point of
-/// salvage mode.
-pub fn cf_trace_forward_degraded(wet: &Wet) -> (Vec<CfStep>, crate::query::Degraded) {
-    cf_trace_forward_degraded_ctl(wet, &Ctl::unbounded())
-        .expect("unbounded ctl never fails")
-}
-
-/// [`cf_trace_forward_degraded`] with cooperative cancellation.
-pub fn cf_trace_forward_degraded_ctl(
-    wet: &Wet,
-    ctl: &Ctl,
-) -> Result<(Vec<CfStep>, crate::query::Degraded), QueryErr> {
-    let _span = wet_obs::span!("query.cf_trace_forward_degraded");
-    let mut deg = crate::query::Degraded::default();
-    let mut steps = Vec::new();
-    for (i, n) in wet.nodes().iter().enumerate() {
-        ctl.check_every(i)?;
-        match n.ts.try_to_vec_snapshot() {
-            Some(ts) => {
-                for (k, &t) in ts.iter().enumerate() {
-                    steps.push(CfStep { node: NodeId(i as u32), k: k as u32, ts: t });
-                }
-            }
-            None => deg.nodes_skipped += 1,
+/// The execution adjacent to `from`: the CF successor (or predecessor)
+/// node whose timestamp stream holds `from.ts ± 1`.
+fn cf_step(wet: &mut Wet, from: CfStep, forward: bool) -> Result<CfStep, QueryErr> {
+    let ts = if forward { from.ts + 1 } else { from.ts - 1 };
+    fn neighbours(wet: &Wet, node: NodeId, forward: bool) -> &[NodeId] {
+        let n = wet.node(node);
+        if forward {
+            &n.cf_succs
+        } else {
+            &n.cf_preds
         }
     }
-    ctl.check()?;
-    // Timestamps partition the execution across nodes, so sorting by
-    // ts reproduces exactly the successor-chasing order of the strict
-    // extraction — for the steps that survived.
-    steps.sort_unstable_by_key(|s| s.ts);
-    let (_, first_ts) = wet.first();
-    let (_, last_ts) = wet.last();
-    let mut expected = first_ts;
-    for s in &steps {
-        if s.ts > expected {
-            deg.gaps += 1;
-            deg.steps_missing += s.ts - expected;
-        }
-        expected = s.ts + 1;
-    }
-    if expected <= last_ts {
-        deg.gaps += 1;
-        deg.steps_missing += last_ts - expected + 1;
-    }
-    Ok((steps, deg))
-}
-
-/// Budgeted forward control-flow trace: covers nodes in index order
-/// while the [`crate::query::Budget`] attached to `ctl` admits their
-/// decoded timestamp bytes (8 per execution, decided from decode-free
-/// stream lengths *before* any decompression), and reports everything
-/// it could not afford through the same gap machinery salvage uses.
-/// Exhaustion is never an error — the answer is partial, annotated,
-/// and (for a pure byte budget) byte-deterministic: the coverage plan
-/// is sequential in node order, so the same budget on the same trace
-/// always yields the same steps and the same gaps. A soft wall budget
-/// additionally stops coverage when time runs out; that cutoff is
-/// timing-dependent by nature.
-///
-/// With no budget attached this is exactly
-/// [`cf_trace_forward_degraded_ctl`].
-pub fn cf_trace_forward_budgeted_ctl(
-    wet: &Wet,
-    ctl: &Ctl,
-) -> Result<(Vec<CfStep>, crate::query::Degraded), QueryErr> {
-    let _span = wet_obs::span!("query.cf_trace_forward_budgeted");
-    let mut deg = crate::query::Degraded::default();
-    let mut steps = Vec::new();
-    for (i, n) in wet.nodes().iter().enumerate() {
-        ctl.check_every(i)?;
-        if n.n_execs == 0 {
+    for i in 0..neighbours(wet, from.node, forward).len() {
+        let nb = neighbours(wet, from.node, forward)[i];
+        // Range skip: a neighbour whose timestamp interval excludes the
+        // target needs no stream probe at all.
+        let n = wet.node(nb);
+        if ts < n.ts_first || ts > n.ts_last {
             continue;
         }
+        if let Some(k) = wet.node_mut(nb).ts.find_sorted(ts) {
+            return Ok(CfStep { node: nb, k: k as u32, ts });
+        }
+    }
+    let side = if forward { "successor" } else { "predecessor" };
+    Err(QueryErr::Corrupt(format!("no {side} node holds ts {ts}")))
+}
+
+/// The partial forward control-flow trace: every step the surviving
+/// timestamp streams and the [`crate::query::Budget`] attached to `ctl`
+/// allow, in execution order, plus a [`Degraded`] report of the holes.
+///
+/// Nodes are covered in index order while the budget admits their
+/// decoded timestamp bytes (8 per execution, decided from decode-free
+/// stream lengths *before* any decompression); a node the budget cannot
+/// afford, or whose timestamp stream was lost to salvage, is skipped
+/// and counted, and the missing timestamp ranges are reported as gaps.
+/// Exhaustion is never an error, and a pure byte budget is
+/// byte-deterministic: the same budget on the same trace always yields
+/// the same steps and gaps. A soft wall budget additionally stops
+/// coverage when time runs out; that cutoff is timing-dependent.
+///
+/// With no budget attached this is the salvage answer: where
+/// [`cf_trace_forward`] returns [`QueryErr::Corrupt`] for a timestamp
+/// it cannot locate, this resynchronizes past the missing range. On a
+/// cleanly loaded WET it equals the strict trace with a complete report.
+pub fn cf_trace_forward_partial(wet: &Wet, ctl: &Ctl) -> Result<(Vec<CfStep>, Degraded), QueryErr> {
+    let _span = wet_obs::span!("query.cf_trace_forward_partial");
+    let mut deg = Degraded::default();
+    let mut steps = Vec::new();
+    for (i, n) in wet.nodes().iter().enumerate() {
+        ctl.check_every(i)?;
         if ctl.wall_exhausted() || !ctl.try_charge(8 * n.ts.len() as u64) {
             deg.nodes_skipped += 1;
             continue;
@@ -218,6 +151,9 @@ pub fn cf_trace_forward_budgeted_ctl(
         }
     }
     ctl.check()?;
+    // Timestamps partition the execution across nodes, so sorting by
+    // ts reproduces exactly the successor-chasing order of the strict
+    // extraction — for the steps that survived.
     steps.sort_unstable_by_key(|s| s.ts);
     let (_, first_ts) = wet.first();
     let (_, last_ts) = wet.last();
@@ -263,55 +199,8 @@ pub fn locate_ts(wet: &mut Wet, ts: u64) -> Option<CfStep> {
 ///
 /// Returns an empty vector when `ts` is outside the execution.
 pub fn cf_trace_from(wet: &mut Wet, ts: u64, count: usize, forward: bool) -> Result<Vec<CfStep>, QueryErr> {
-    cf_trace_from_ctl(wet, ts, count, forward, &Ctl::unbounded())
-}
-
-/// [`cf_trace_from`] with cooperative cancellation.
-pub fn cf_trace_from_ctl(
-    wet: &mut Wet,
-    ts: u64,
-    count: usize,
-    forward: bool,
-    ctl: &Ctl,
-) -> Result<Vec<CfStep>, QueryErr> {
     let Some(start) = locate_ts(wet, ts) else { return Ok(Vec::new()) };
-    let (_, last_ts) = wet.last();
-    let (_, first_ts) = wet.first();
-    let mut steps = vec![start];
-    let mut node = start.node;
-    let mut t = ts;
-    while steps.len() < count {
-        ctl.check_every(steps.len())?;
-        let (next_t, neighbours) = if forward {
-            if t >= last_ts {
-                break;
-            }
-            (t + 1, wet.node(node).cf_succs.clone())
-        } else {
-            if t <= first_ts {
-                break;
-            }
-            (t - 1, wet.node(node).cf_preds.clone())
-        };
-        let mut found = None;
-        for nb in neighbours {
-            {
-                let n = wet.node(nb);
-                if next_t < n.ts_first || next_t > n.ts_last {
-                    continue;
-                }
-            }
-            if let Some(k) = wet.node_mut(nb).ts.find_sorted(next_t) {
-                found = Some(CfStep { node: nb, k: k as u32, ts: next_t });
-                break;
-            }
-        }
-        let step = found.ok_or_else(|| QueryErr::Corrupt(format!("no neighbour holds ts {next_t}")))?;
-        node = step.node;
-        t = next_t;
-        steps.push(step);
-    }
-    Ok(steps)
+    cf_walk(wet, start, forward, count, &Ctl::unbounded())
 }
 
 /// Expands a node-level trace into the basic-block trace.

@@ -38,8 +38,8 @@ pub enum QueryErr {
     Shed,
     /// The query walked into data the container does not have — a
     /// [`crate::Seq::Unavailable`] placeholder left by salvage, or an
-    /// internally inconsistent stream. The degraded query variants can
-    /// still answer from the surviving data.
+    /// internally inconsistent stream. The partial query functions
+    /// (`*_partial`) can still answer from the surviving data.
     Corrupt(String),
 }
 
@@ -79,8 +79,8 @@ impl QueryErr {
 /// it may touch and (optionally) how long it may run before the engine
 /// stops *refining* and answers with what it has.
 ///
-/// Exhausting a budget is **not** an error. The budgeted entry points
-/// report the uncovered remainder through the existing
+/// Exhausting a budget is **not** an error. The partial query functions
+/// (`*_partial`) report the uncovered remainder through the existing
 /// [`crate::query::Degraded`] gap machinery — a partial answer with an
 /// exact account of what is missing, never fabricated data. This is
 /// the "first-class quality knob" generalization of the shed/degraded
@@ -241,7 +241,7 @@ impl Ctl {
         Ctl { cancel: Some(cancel), deadline, ..Ctl::default() }
     }
 
-    /// Attach a quality [`Budget`]: the budgeted query entry points
+    /// Attach a quality [`Budget`]: the partial query functions
     /// charge decoded bytes against it and stop refining (degrading,
     /// never erroring) once it is spent. The wall allowance starts
     /// counting now. Clones share the ledger.

@@ -30,21 +30,26 @@
 //! never cached at all. Eviction counters and the peak-bytes
 //! high-water mark are published to wet-obs when the cache drops.
 //!
-//! ## Errors and cancellation
+//! ## Strict and partial answers
 //!
-//! The strict entry points return [`QueryErr::Corrupt`] when a walk
-//! reaches a [`crate::Seq::Unavailable`] placeholder left by salvage
-//! (the `*_degraded` variants keep answering around the holes), and
-//! every extraction loop is a cooperative cancel point for the
-//! `*_ctl` variants (see [`crate::query::ctl`]).
+//! Each trace has a strict and a partial entry point. The strict ones
+//! ([`value_trace_ctl`], [`address_trace_ctl`]) return
+//! [`QueryErr::Corrupt`] when a walk reaches a
+//! [`crate::Seq::Unavailable`] placeholder left by salvage. The partial
+//! ones ([`value_trace_partial`], [`address_trace_partial`]) skip and
+//! count what the surviving sequences and the request's
+//! [`crate::query::Budget`] cannot cover; with no budget attached they
+//! give the salvage answer. Every extraction loop is a cooperative
+//! cancel point (see [`crate::query::ctl`]).
 
 use crate::graph::{NodeId, TsMode, Wet, SLOT_OP0};
 use crate::par;
 use crate::query::ctl::{Ctl, QueryErr};
-use crate::query::values::nodes_with_stmt;
+use crate::query::Degraded;
 use crate::seq::Seq;
 use std::collections::{BTreeMap, HashMap};
-use wet_ir::stmt::Operand;
+use wet_ir::program::StmtRef;
+use wet_ir::stmt::{Operand, StmtKind};
 use wet_ir::{Program, StmtId};
 
 /// Decompresses a snapshot of `seq`, or reports it as corrupt data.
@@ -289,11 +294,34 @@ impl EngineCache {
     }
 }
 
-/// The value sequence of `stmt` within one node as `(ts, value)` pairs
-/// — [`crate::query::values::values_in_node`] through snapshots, for
-/// use from shared references. Returns [`QueryErr::Corrupt`] when a
-/// backing sequence was lost to salvage.
-pub fn values_in_node_snapshot(wet: &Wet, node: NodeId, stmt: StmtId) -> Result<Vec<(u64, i64)>, QueryErr> {
+/// The ids of nodes containing `stmt`.
+pub(crate) fn nodes_with_stmt(wet: &Wet, stmt: StmtId) -> Vec<NodeId> {
+    wet.nodes()
+        .iter()
+        .enumerate()
+        .filter(|(_, n)| n.stmt_pos(stmt).is_some())
+        .map(|(i, _)| NodeId(i as u32))
+        .collect()
+}
+
+/// Returns the address operand of a load/store statement, or `None` if
+/// `stmt` does not access memory.
+pub(crate) fn addr_operand(program: &Program, stmt: StmtId) -> Option<Operand> {
+    match program.stmt_ref(stmt) {
+        StmtRef::Stmt(s) => match s.kind {
+            StmtKind::Load { addr, .. } | StmtKind::Store { addr, .. } => Some(addr),
+            _ => None,
+        },
+        StmtRef::Term(_) => None,
+    }
+}
+
+/// The value sequence of `stmt` within one node as `(ts, value)` pairs,
+/// read through snapshots so it works from shared references. Returns
+/// an empty vector when the statement has no def port or is not in the
+/// node, and [`QueryErr::Corrupt`] when a backing sequence was lost to
+/// salvage.
+fn values_in_node_snapshot(wet: &Wet, node: NodeId, stmt: StmtId) -> Result<Vec<(u64, i64)>, QueryErr> {
     let n = wet.node(node);
     let Some(pos) = n.stmt_pos(stmt) else { return Ok(Vec::new()) };
     let ns = n.stmts[pos];
@@ -416,10 +444,16 @@ fn addresses_in_node(
     }
 }
 
-/// The complete per-instruction value trace of `stmt`, extracted on up
-/// to `num_threads` workers (one per containing node): `(ts, value)`
-/// pairs sorted by timestamp. Identical to the sequential
-/// [`crate::query::value_trace`] for every thread count.
+/// The complete per-instruction value trace of `stmt` (paper §5.2:
+/// "requests for load values on per instruction basis"), extracted on
+/// up to `num_threads` workers (one per containing node): `(ts, value)`
+/// pairs sorted by timestamp, identical for every thread count.
+///
+/// Each involved stream is decompressed *once*, front to back, rather
+/// than through the random-access cursor: the
+/// `Values[k] = UVals[Pattern[k]]` indirection makes unique-value
+/// lookups non-monotonic, which a sliding-window cursor would pay for
+/// quadratically.
 pub fn value_trace(wet: &Wet, stmt: StmtId, num_threads: usize) -> Result<Vec<(u64, i64)>, QueryErr> {
     value_trace_ctl(wet, stmt, num_threads, &Ctl::unbounded())
 }
@@ -449,57 +483,6 @@ pub fn value_trace_ctl(
     Ok(out)
 }
 
-/// Salvage-tolerant [`value_trace`]: extracts from every containing
-/// node whose backing sequences (timestamps, pattern, unique values)
-/// survived, skipping — and counting — the rest. Partial results with
-/// an exact account of what is missing; on a fully available WET this
-/// equals the strict trace with a complete report.
-pub fn value_trace_degraded(
-    wet: &Wet,
-    stmt: StmtId,
-    num_threads: usize,
-) -> (Vec<(u64, i64)>, crate::query::Degraded) {
-    value_trace_degraded_ctl(wet, stmt, num_threads, &Ctl::unbounded()).expect("unbounded ctl never fails")
-}
-
-/// [`value_trace_degraded`] with cooperative cancellation. Corruption
-/// stays a *report* (skipped nodes), never an error; only
-/// cancellation/deadline aborts the extraction.
-pub fn value_trace_degraded_ctl(
-    wet: &Wet,
-    stmt: StmtId,
-    num_threads: usize,
-    ctl: &Ctl,
-) -> Result<(Vec<(u64, i64)>, crate::query::Degraded), QueryErr> {
-    let _span = wet_obs::span!("query.value_trace_degraded");
-    let mut deg = crate::query::Degraded::default();
-    let nodes: Vec<NodeId> = nodes_with_stmt(wet, stmt)
-        .into_iter()
-        .filter(|&n| {
-            let ok = wet.node(n).values_available();
-            deg.nodes_skipped += !ok as u64;
-            ok
-        })
-        .collect();
-    let threads = par::effective_threads(num_threads);
-    let parts = par::map(threads, &nodes, |_, &node| {
-        ctl.check()?;
-        values_in_node_snapshot(wet, node, stmt)
-    });
-    let mut out: Vec<(u64, i64)> = Vec::new();
-    for part in parts {
-        match part {
-            Ok(v) => out.extend(v),
-            // A stream that decodes badly despite looking available:
-            // degrade (skip + count) rather than fail.
-            Err(QueryErr::Corrupt(_)) => deg.nodes_skipped += 1,
-            Err(e) => return Err(e),
-        }
-    }
-    out.sort_unstable_by_key(|&(ts, _)| ts);
-    Ok((out, deg))
-}
-
 /// Decode-free cost of extracting `stmt`'s value trace from one node:
 /// the bytes the extraction will materialize (8 per timestamp, unique
 /// value and pattern entry), computed from stream lengths without
@@ -517,27 +500,31 @@ fn value_cost(wet: &Wet, node: NodeId, stmt: StmtId) -> u64 {
     8 * (n.ts.len() + g.uvals[ns.member as usize].len() + pattern) as u64
 }
 
-/// Budgeted [`value_trace_ctl`]: plans node coverage *sequentially in
-/// node order* against the [`crate::query::Budget`] attached to `ctl`
-/// (first-fit on decode-free costs, see [`value_cost`]), then extracts
-/// only the covered nodes on up to `num_threads` workers. Nodes the
-/// budget could not afford are skipped and counted — a partial answer
-/// through the [`crate::query::Degraded`] report, never an error and
-/// never fabricated data. Because the plan happens before extraction,
-/// a pure byte budget yields byte-identical results and byte counts
-/// for every thread count; a soft wall budget additionally converts
-/// not-yet-extracted nodes into skips when time runs out (inherently
-/// timing-dependent). With no budget attached this equals
-/// [`value_trace_degraded_ctl`].
-pub fn value_trace_budgeted_ctl(
+/// The partial [`value_trace_ctl`]: the part of the trace that the
+/// surviving sequences and the [`crate::query::Budget`] attached to
+/// `ctl` cover, plus a [`Degraded`] report of the nodes left out.
+///
+/// Node coverage is planned *sequentially in node order* (first-fit on
+/// decode-free costs, see [`value_cost`]); nodes whose timestamps,
+/// pattern or unique values were lost to salvage, and nodes the budget
+/// cannot afford, are skipped and counted. Only the covered nodes are
+/// extracted, on up to `num_threads` workers — never an error for lost
+/// data, never fabricated data. Because the plan happens before
+/// extraction, a pure byte budget yields byte-identical results and
+/// byte counts for every thread count; a soft wall budget additionally
+/// converts not-yet-extracted nodes into skips when time runs out
+/// (inherently timing-dependent). With no budget attached this is the
+/// salvage answer, and on a cleanly loaded WET it equals the strict
+/// trace with a complete report.
+pub fn value_trace_partial(
     wet: &Wet,
     stmt: StmtId,
     num_threads: usize,
     ctl: &Ctl,
-) -> Result<(Vec<(u64, i64)>, crate::query::Degraded), QueryErr> {
-    let _span = wet_obs::span!("query.value_trace_budgeted");
-    let _p = ctl.phase("engine.value_trace_budgeted");
-    let mut deg = crate::query::Degraded::default();
+) -> Result<(Vec<(u64, i64)>, Degraded), QueryErr> {
+    let _span = wet_obs::span!("query.value_trace_partial");
+    let _p = ctl.phase("engine.value_trace_partial");
+    let mut deg = Degraded::default();
     let mut covered: Vec<NodeId> = Vec::new();
     for n in nodes_with_stmt(wet, stmt) {
         if !wet.node(n).values_available() {
@@ -575,23 +562,24 @@ pub fn value_trace_budgeted_ctl(
     Ok((out, deg))
 }
 
-/// Budgeted [`address_trace_ctl`]: same coverage discipline as
-/// [`value_trace_budgeted_ctl`] — plan in node order against
-/// decode-free costs (8 bytes per timestamp plus, for register
-/// operands, 16 per resolved `(ts, address)` pair the walk
-/// materializes), extract only what the budget covered, report the
-/// rest as skipped nodes.
-pub fn address_trace_budgeted_ctl(
+/// The partial [`address_trace_ctl`]: same coverage discipline as
+/// [`value_trace_partial`] — plan in node order against decode-free
+/// costs (8 bytes per timestamp plus, for register operands, 16 per
+/// resolved `(ts, address)` pair the walk materializes) and extract
+/// only what the budget covered. Nodes the budget cannot afford, and
+/// nodes whose walk reaches a sequence lost to salvage, are reported
+/// as skipped.
+pub fn address_trace_partial(
     wet: &Wet,
     program: &Program,
     stmt: StmtId,
     num_threads: usize,
     ctl: &Ctl,
-) -> Result<(Vec<(u64, u64)>, crate::query::Degraded), QueryErr> {
-    let _span = wet_obs::span!("query.address_trace_budgeted");
-    let _p = ctl.phase("engine.address_trace_budgeted");
-    let mut deg = crate::query::Degraded::default();
-    let Some(op) = crate::query::addresses::addr_operand(program, stmt) else {
+) -> Result<(Vec<(u64, u64)>, Degraded), QueryErr> {
+    let _span = wet_obs::span!("query.address_trace_partial");
+    let _p = ctl.phase("engine.address_trace_partial");
+    let mut deg = Degraded::default();
+    let Some(op) = addr_operand(program, stmt) else {
         return Ok((Vec::new(), deg));
     };
     let mut covered: Vec<NodeId> = Vec::new();
@@ -630,34 +618,19 @@ pub fn address_trace_budgeted_ctl(
     Ok((out, deg))
 }
 
-/// Whole-trace value extraction for many statements at once; the work
-/// units are `(statement, node)` streams, so parallelism is available
-/// even when each statement appears in few nodes.
-pub fn value_traces(wet: &Wet, stmts: &[StmtId], num_threads: usize) -> Result<Vec<Vec<(u64, i64)>>, QueryErr> {
-    let _span = wet_obs::span!("query.value_traces");
-    let units: Vec<(usize, NodeId)> = stmts
-        .iter()
-        .enumerate()
-        .flat_map(|(si, &s)| nodes_with_stmt(wet, s).into_iter().map(move |n| (si, n)))
-        .collect();
-    wet_obs::hist_record("query.node_fanout", "value_traces", units.len() as u64);
-    let threads = par::effective_threads(num_threads);
-    let parts = par::map(threads, &units, |_, &(si, node)| values_in_node_snapshot(wet, node, stmts[si]));
-    let mut out: Vec<Vec<(u64, i64)>> = vec![Vec::new(); stmts.len()];
-    for (&(si, _), part) in units.iter().zip(parts) {
-        out[si].extend(part?);
-    }
-    for trace in &mut out {
-        trace.sort_unstable_by_key(|&(ts, _)| ts);
-    }
-    Ok(out)
-}
-
 /// The complete per-instruction address trace of a load/store
-/// statement, extracted on up to `num_threads` workers: `(ts, address)`
-/// pairs sorted by timestamp. Identical to the sequential
-/// [`crate::query::address_trace`] for every thread count; empty for
-/// statements that do not access memory.
+/// statement (paper §5.2), extracted on up to `num_threads` workers:
+/// `(ts, address)` pairs sorted by timestamp, identical for every
+/// thread count; empty for statements that do not access memory.
+///
+/// WET stores no separate address streams: "addresses are simply part
+/// of values in WET representation". The address of a load/store
+/// instance is the value produced by the producer of its address
+/// operand, reached through the dependence edges — or the operand's
+/// immediate constant when the address is static. Each worker caches
+/// producers' decompressed value sequences, since the dependence
+/// labels index producers non-monotonically (the effect the paper
+/// reports as higher tier-2 address-trace times in Table 8).
 pub fn address_trace(
     wet: &Wet,
     program: &Program,
@@ -678,7 +651,7 @@ pub fn address_trace_ctl(
 ) -> Result<Vec<(u64, u64)>, QueryErr> {
     let _span = wet_obs::span!("query.address_trace");
     let _p = ctl.phase("engine.address_trace");
-    let Some(op) = crate::query::addresses::addr_operand(program, stmt) else {
+    let Some(op) = addr_operand(program, stmt) else {
         return Ok(Vec::new());
     };
     let nodes = nodes_with_stmt(wet, stmt);
@@ -734,7 +707,7 @@ pub fn address_traces(
     let units: Vec<(usize, NodeId, Operand)> = stmts
         .iter()
         .enumerate()
-        .filter_map(|(si, &s)| crate::query::addresses::addr_operand(program, s).map(|op| (si, s, op)))
+        .filter_map(|(si, &s)| addr_operand(program, s).map(|op| (si, s, op)))
         .flat_map(|(si, s, op)| nodes_with_stmt(wet, s).into_iter().map(move |n| (si, n, op)))
         .collect();
     wet_obs::hist_record("query.node_fanout", "address_traces", units.len() as u64);

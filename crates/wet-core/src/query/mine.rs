@@ -6,7 +6,7 @@
 //! citation \[21\]).
 
 use crate::graph::{NodeId, Wet};
-use crate::query::values::value_trace;
+use crate::query::engine::value_trace;
 use std::collections::HashMap;
 use wet_ir::{BlockId, FuncId, StmtId};
 
@@ -62,9 +62,9 @@ pub struct ValueLocality {
 
 /// Computes value locality for a statement, or `None` if it has no
 /// def port, never executed, or its value streams were lost to salvage
-/// (use [`crate::query::value_trace_degraded`] to distinguish).
+/// (use [`crate::query::value_trace_partial`] to distinguish).
 pub fn value_locality(wet: &mut Wet, stmt: StmtId) -> Option<ValueLocality> {
-    let trace = value_trace(wet, stmt).ok()?;
+    let trace = value_trace(wet, stmt, wet.config().stream.num_threads).ok()?;
     if trace.is_empty() {
         return None;
     }
@@ -99,7 +99,7 @@ pub fn value_locality(wet: &mut Wet, stmt: StmtId) -> Option<ValueLocality> {
 pub fn isomorphic_statements(wet: &mut Wet, stmts: &[StmtId], min_execs: usize) -> Vec<Vec<StmtId>> {
     let mut by_hash: HashMap<u64, Vec<(StmtId, Vec<i64>)>> = HashMap::new();
     for &s in stmts {
-        let Ok(trace) = value_trace(wet, s) else { continue };
+        let Ok(trace) = value_trace(wet, s, wet.config().stream.num_threads) else { continue };
         let vals: Vec<i64> = trace.into_iter().map(|(_, v)| v).collect();
         if vals.len() < min_execs {
             continue;

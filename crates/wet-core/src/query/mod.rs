@@ -3,42 +3,44 @@
 //! Each query works identically against the tier-1 and tier-2 forms of
 //! a [`crate::Wet`]; the paper's Tables 6–9 compare their response
 //! times.
+//!
+//! Every query has a strict form, which answers in full or fails with
+//! [`QueryErr::Corrupt`], and the forward CF trace, the value and
+//! address traces and the backward slice also have a partial form
+//! (`*_partial`), which answers what the surviving data and the
+//! request's [`Budget`] cover plus a [`Degraded`] report of the rest.
+//! A partial form with no budget attached is the salvage answer.
 
-pub mod addresses;
 pub mod cftrace;
 pub mod ctl;
 pub mod engine;
 pub mod mine;
 pub mod phases;
 pub mod slice;
-pub mod values;
 
-pub use addresses::{address_trace, address_trace_ctl};
+pub use cftrace::{
+    cf_trace_backward, cf_trace_backward_ctl, cf_trace_forward, cf_trace_forward_ctl, cf_trace_forward_partial,
+    cf_trace_from, expand_blocks, locate_ts, trace_bytes, CfStep,
+};
 pub use ctl::{Budget, Ctl, PhaseGuard, QueryErr, ReqTrace, TraceEvent, CHECK_INTERVAL, TRACE_EVENT_CAP};
-pub use engine::{address_trace_budgeted_ctl, value_trace_budgeted_ctl};
+pub use engine::{
+    address_trace, address_trace_ctl, address_trace_partial, value_trace, value_trace_ctl, value_trace_partial,
+};
 pub use mine::{hot_paths, isomorphic_statements, value_locality, HotPath, ValueLocality};
 pub use phases::{cluster_phases, interval_vectors, IntervalVector, Phases};
-pub use cftrace::{
-    cf_trace_backward, cf_trace_backward_ctl, cf_trace_forward, cf_trace_forward_budgeted_ctl,
-    cf_trace_forward_ctl, cf_trace_forward_degraded, cf_trace_forward_degraded_ctl, cf_trace_from,
-    cf_trace_from_ctl, expand_blocks, locate_ts, trace_bytes, CfStep,
-};
 pub use slice::{
-    backward_slice, backward_slice_ctl, backward_slice_degraded, backward_slice_degraded_ctl,
-    forward_slice, forward_slice_ctl, SliceSpec, WetSlice, WetSliceElem,
-};
-pub use values::{
-    value_trace, value_trace_ctl, value_trace_degraded, value_trace_degraded_ctl, values_in_node,
+    backward_slice, backward_slice_ctl, backward_slice_partial, forward_slice, SliceSpec, WetSlice, WetSliceElem,
 };
 
-/// What a degraded query could *not* answer. After
+/// What a partial query could *not* answer. After
 /// [`crate::Wet::read_salvaging`] recovers a damaged container, label
-/// sequences lost with their section are [`crate::Seq::Unavailable`];
-/// the `*_degraded` query variants return every part of the answer the
-/// surviving sequences support, plus this report of the holes. A
-/// default (all-zero) report means the result is complete — on a
-/// cleanly loaded WET the degraded variants agree exactly with their
-/// strict counterparts.
+/// sequences lost with their section are [`crate::Seq::Unavailable`],
+/// and a [`Budget`] may stop a query before it covers everything; the
+/// `*_partial` query functions return every part of the answer the
+/// surviving sequences and the budget support, plus this report of the
+/// holes. A default (all-zero) report means the result is complete — on
+/// a cleanly loaded WET with no budget the partial functions agree
+/// exactly with their strict counterparts.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct Degraded {
     /// Nodes whose contribution was dropped because a backing sequence

@@ -8,6 +8,7 @@
 
 use crate::graph::{NodeId, Wet, SLOT_CD, SLOT_MEM, SLOT_OP0, SLOT_OP1};
 use crate::query::ctl::{Ctl, QueryErr};
+use crate::query::Degraded;
 use std::collections::{BTreeSet, HashSet};
 use wet_ir::{Program, StmtId};
 
@@ -74,7 +75,7 @@ fn cd_anchor(wet: &Wet, program: &Program, node: NodeId, stmt: StmtId) -> Option
 
 /// Computes the backward WET slice from `criterion`. Returns
 /// [`QueryErr::Corrupt`] when the traversal reaches a sequence lost to
-/// salvage (use [`backward_slice_degraded`] for partial answers).
+/// salvage (use [`backward_slice_partial`] for partial answers).
 ///
 /// # Panics
 /// Panics if the criterion statement is not part of the criterion node.
@@ -97,81 +98,54 @@ pub fn backward_slice_ctl(
     ctl: &Ctl,
 ) -> Result<WetSlice, QueryErr> {
     let _span = wet_obs::span!("query.backward_slice");
-    let _p = ctl.phase("engine.backward_slice");
     assert!(
         wet.node(criterion.node).stmt_pos(criterion.stmt).is_some(),
         "criterion statement not in node"
     );
-    let mut visited: HashSet<WetSliceElem> = HashSet::new();
-    let mut stamped = BTreeSet::new();
-    let mut work = vec![criterion];
-    while let Some(e) = work.pop() {
-        if !visited.insert(e) {
-            continue;
-        }
-        ctl.check_every(visited.len())?;
-        if !wet.node(e.node).ts.is_available() {
-            return Err(QueryErr::Corrupt(format!(
-                "timestamp sequence unavailable in node {}",
-                e.node.0
-            )));
-        }
-        let ts = wet.node_mut(e.node).ts_at(e.k as usize);
-        stamped.insert((e.stmt, ts));
-        if spec.data {
-            for slot in [SLOT_OP0, SLOT_OP1, SLOT_MEM] {
-                if let Some((pn, ps, pk)) = wet.try_resolve_producer(e.node, e.stmt, slot, e.k)? {
-                    work.push(WetSliceElem { node: pn, stmt: ps, k: pk });
-                }
-            }
-        }
-        if spec.control {
-            if let Some(anchor) = cd_anchor(wet, program, e.node, e.stmt) {
-                if let Some((pn, ps, pk)) = wet.try_resolve_producer(e.node, anchor, SLOT_CD, e.k)? {
-                    work.push(WetSliceElem { node: pn, stmt: ps, k: pk });
-                }
-            }
-        }
-    }
-    ctl.note("slice.elems", visited.len() as u64);
-    Ok(WetSlice { elems: visited.into_iter().collect(), stamped })
+    backward_walk(wet, program, criterion, spec, ctl, None)
 }
 
-/// Salvage-tolerant [`backward_slice`]: follows every dependence the
+/// The partial [`backward_slice_ctl`]: follows every dependence the
 /// surviving sequences can resolve and reports what it could not
 /// reach. Instances whose node timestamp stream was lost stay in the
 /// traversal (their `k` is still exact) but cannot be stamped with a
 /// timestamp, so they are absent from `stamped`; every unavailable
 /// sequence consulted while resolving a producer is counted — each is
-/// a dependence edge the slice may be missing. On a fully available
-/// WET the result and report match the strict slice exactly.
-pub fn backward_slice_degraded(
-    wet: &mut Wet,
-    program: &Program,
-    criterion: WetSliceElem,
-    spec: SliceSpec,
-) -> (WetSlice, crate::query::Degraded) {
-    backward_slice_degraded_ctl(wet, program, criterion, spec, &Ctl::unbounded())
-        .expect("unbounded ctl never fails")
-}
-
-/// [`backward_slice_degraded`] with cooperative cancellation.
-/// Corruption stays a *report*, never an error; only
-/// cancellation/deadline aborts the traversal.
-pub fn backward_slice_degraded_ctl(
+/// a dependence edge the slice may be missing. Lost data stays a
+/// *report*, never an error; only cancellation or the deadline aborts
+/// the traversal. On a fully available WET the result and report
+/// match the strict slice exactly. Slices take no budget: truncating a
+/// dependence chain would change what the slice means.
+pub fn backward_slice_partial(
     wet: &mut Wet,
     program: &Program,
     criterion: WetSliceElem,
     spec: SliceSpec,
     ctl: &Ctl,
-) -> Result<(WetSlice, crate::query::Degraded), QueryErr> {
-    let _span = wet_obs::span!("query.backward_slice_degraded");
-    let mut deg = crate::query::Degraded::default();
+) -> Result<(WetSlice, Degraded), QueryErr> {
+    let _span = wet_obs::span!("query.backward_slice_partial");
+    let mut deg = Degraded::default();
+    if wet.node(criterion.node).stmt_pos(criterion.stmt).is_none() {
+        return Ok((WetSlice { elems: Vec::new(), stamped: BTreeSet::new() }, deg));
+    }
+    let slice = backward_walk(wet, program, criterion, spec, ctl, Some(&mut deg))?;
+    Ok((slice, deg))
+}
+
+/// The backward worklist traversal behind both slice forms. With a
+/// report (`deg`), lost sequences are counted; without one, they are
+/// [`QueryErr::Corrupt`].
+fn backward_walk(
+    wet: &mut Wet,
+    program: &Program,
+    criterion: WetSliceElem,
+    spec: SliceSpec,
+    ctl: &Ctl,
+    mut deg: Option<&mut Degraded>,
+) -> Result<WetSlice, QueryErr> {
+    let _p = ctl.phase("engine.backward_slice");
     let mut visited: HashSet<WetSliceElem> = HashSet::new();
     let mut stamped = BTreeSet::new();
-    if wet.node(criterion.node).stmt_pos(criterion.stmt).is_none() {
-        return Ok((WetSlice { elems: Vec::new(), stamped }, deg));
-    }
     let mut work = vec![criterion];
     while let Some(e) = work.pop() {
         if !visited.insert(e) {
@@ -181,25 +155,28 @@ pub fn backward_slice_degraded_ctl(
         if wet.node(e.node).ts.is_available() {
             let ts = wet.node_mut(e.node).ts_at(e.k as usize);
             stamped.insert((e.stmt, ts));
+        } else if let Some(d) = deg.as_deref_mut() {
+            d.seqs_unavailable += 1;
         } else {
-            deg.seqs_unavailable += 1;
+            return Err(QueryErr::Corrupt(format!("timestamp sequence unavailable in node {}", e.node.0)));
         }
-        if spec.data {
-            for slot in [SLOT_OP0, SLOT_OP1, SLOT_MEM] {
-                if let Some((pn, ps, pk)) = resolve_producer_degraded(wet, &mut deg, e.node, e.stmt, slot, e.k) {
-                    work.push(WetSliceElem { node: pn, stmt: ps, k: pk });
-                }
-            }
-        }
-        if spec.control {
-            if let Some(anchor) = cd_anchor(wet, program, e.node, e.stmt) {
-                if let Some((pn, ps, pk)) = resolve_producer_degraded(wet, &mut deg, e.node, anchor, SLOT_CD, e.k) {
-                    work.push(WetSliceElem { node: pn, stmt: ps, k: pk });
-                }
+        let data = [SLOT_OP0, SLOT_OP1, SLOT_MEM].map(|slot| spec.data.then_some((e.stmt, slot)));
+        let control = spec
+            .control
+            .then(|| cd_anchor(wet, program, e.node, e.stmt).map(|anchor| (anchor, SLOT_CD)))
+            .flatten();
+        for (stmt, slot) in data.into_iter().chain([control]).flatten() {
+            let producer = match deg.as_deref_mut() {
+                Some(d) => resolve_producer_degraded(wet, d, e.node, stmt, slot, e.k),
+                None => wet.try_resolve_producer(e.node, stmt, slot, e.k)?,
+            };
+            if let Some((pn, ps, pk)) = producer {
+                work.push(WetSliceElem { node: pn, stmt: ps, k: pk });
             }
         }
     }
-    Ok((WetSlice { elems: visited.into_iter().collect(), stamped }, deg))
+    ctl.note("slice.elems", visited.len() as u64);
+    Ok(WetSlice { elems: visited.into_iter().collect(), stamped })
 }
 
 /// [`Wet::resolve_producer`] with the unavailable sequences on the
@@ -208,7 +185,7 @@ pub fn backward_slice_degraded_ctl(
 /// reading a lost stream).
 fn resolve_producer_degraded(
     wet: &mut Wet,
-    deg: &mut crate::query::Degraded,
+    deg: &mut Degraded,
     node: NodeId,
     dst_stmt: StmtId,
     slot: u8,
@@ -245,18 +222,6 @@ pub fn forward_slice(
     criterion: WetSliceElem,
     spec: SliceSpec,
 ) -> Result<WetSlice, QueryErr> {
-    forward_slice_ctl(wet, program, criterion, spec, &Ctl::unbounded())
-}
-
-/// [`forward_slice`] with cooperative cancellation (one check per
-/// visited instance, plus one per label-scan batch).
-pub fn forward_slice_ctl(
-    wet: &mut Wet,
-    program: &Program,
-    criterion: WetSliceElem,
-    spec: SliceSpec,
-    ctl: &Ctl,
-) -> Result<WetSlice, QueryErr> {
     let _span = wet_obs::span!("query.forward_slice");
     let mut visited: HashSet<WetSliceElem> = HashSet::new();
     let mut stamped = BTreeSet::new();
@@ -265,7 +230,6 @@ pub fn forward_slice_ctl(
         if !visited.insert(e) {
             continue;
         }
-        ctl.check_every(visited.len())?;
         if !wet.node(e.node).ts.is_available() {
             return Err(QueryErr::Corrupt(format!(
                 "timestamp sequence unavailable in node {}",
@@ -325,7 +289,6 @@ pub fn forward_slice_ctl(
             }
             let len = wet.labels()[edge.labels as usize].len as usize;
             for p in 0..len {
-                ctl.check_every(p)?;
                 let (dv, sv) = {
                     let lab = &mut wet.labels[edge.labels as usize];
                     (lab.dst.get(p), lab.src.get(p))

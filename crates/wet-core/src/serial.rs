@@ -705,6 +705,13 @@ pub(crate) fn parse_bind(p: &[u8]) -> io::Result<Bound> {
     if !r.is_empty() {
         return Err(corrupt("trailing bytes in BIND"));
     }
+    // Timestamps number the node executions consecutively, so the
+    // first/last span must account for exactly the executions the nodes
+    // record. A forged span would otherwise size trace buffers.
+    let execs: u64 = nodes.iter().map(|n| n.n_execs as u64).sum();
+    if first.1 > last.1 || (last.1 - first.1).checked_add(1) != Some(execs) {
+        return Err(corrupt("BIND timestamp span disagrees with execution counts"));
+    }
     Ok(Bound { nodes, node_index, edges, labels, in_edges, out_edges, first, last, total_seqs })
 }
 
@@ -1685,13 +1692,13 @@ mod tests {
             for sid in 0..p.stmt_count() as u32 {
                 let s = StmtId(sid);
                 assert_eq!(
-                    query::value_trace(&wet, s).unwrap(),
-                    query::value_trace(&back, s).unwrap(),
+                    query::value_trace(&wet, s, 1).unwrap(),
+                    query::value_trace(&back, s, 1).unwrap(),
                     "values of {s} (tier2={tier2})"
                 );
                 assert_eq!(
-                    query::address_trace(&wet, &p, s).unwrap(),
-                    query::address_trace(&back, &p, s).unwrap(),
+                    query::address_trace(&wet, &p, s, 1).unwrap(),
+                    query::address_trace(&back, &p, s, 1).unwrap(),
                     "addresses of {s} (tier2={tier2})"
                 );
             }

@@ -44,6 +44,7 @@
 //! See DESIGN.md §4 decision 11.
 
 use crate::fault::{Io, Vfs};
+use crate::graph::SLOT_OP0;
 use crate::query::QueryErr;
 use crate::serial::{
     self, SectionSpan, TAG_BIND, TAG_CONF, TAG_EDGL, TAG_ENDW, TAG_NDET, TAG_STAT, TAG_TSEQ, TAG_VALS,
@@ -57,7 +58,8 @@ use std::path::{Component, Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, PoisonError, RwLock, Weak};
 use std::time::Duration;
-use wet_ir::Program;
+use wet_ir::stmt::Operand;
+use wet_ir::{Program, StmtId};
 
 /// Shard count for the id → trace maps. Small and fixed: contention is
 /// on lookups, and lookups are cheap.
@@ -1429,6 +1431,27 @@ pub fn sections_for_op(op: &str) -> &'static [LazySection] {
         "value_trace" | "address_trace" => &[LazySection::Tseq, LazySection::Vals],
         "slice" => &LAZY_SECTIONS,
         _ => &[],
+    }
+}
+
+/// The sections an `address_trace` of `stmt` touches: those of
+/// [`sections_for_op`], plus `EDGL` when a node holding `stmt` may
+/// resolve its register address operand through stored labels — a
+/// non-complete intra edge with a coverage set, or an incoming labelled
+/// edge. Decided from `BIND` structure alone, which is always resident,
+/// so the label pools load only for the statements that read them.
+pub fn sections_for_address_trace(wet: &Wet, program: &Program, stmt: StmtId) -> &'static [LazySection] {
+    // Nodes first: a statement no node holds (possibly one the program
+    // does not have) needs no operand lookup at all.
+    let reads_labels = crate::query::engine::nodes_with_stmt(wet, stmt).into_iter().any(|node| {
+        let intra = wet.node(node).intra.get(&(stmt, SLOT_OP0));
+        intra.is_some_and(|ies| ies.iter().any(|ie| !ie.complete && ie.ks.is_some()))
+            || !wet.in_edges(node, stmt, SLOT_OP0).is_empty()
+    }) && matches!(crate::query::engine::addr_operand(program, stmt), Some(Operand::Reg(_)));
+    if reads_labels {
+        &LAZY_SECTIONS
+    } else {
+        sections_for_op("address_trace")
     }
 }
 

@@ -36,7 +36,9 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex, PoisonError, RwLock};
 use std::time::{Duration, Instant};
 use wet_core::query::{self, Budget, Ctl, QueryErr, ReqTrace};
-use wet_core::store::{resolve_under, sections_for_op, StoreErr, StoreOptions, StoredTrace, TraceStore};
+use wet_core::store::{
+    resolve_under, sections_for_address_trace, sections_for_op, StoreErr, StoreOptions, StoredTrace, TraceStore,
+};
 use wet_core::Wet;
 use wet_ir::{Program, StmtId};
 
@@ -945,7 +947,12 @@ impl Server {
         // the query's lifetime. A CRC-bad lazy section surfaces here as
         // a typed corrupt error on first touch — except for degraded
         // queries, which by contract answer from whatever survives.
-        let needs = sections_for_op(op);
+        let needs = match (op, stmt_of(req), trace.program()) {
+            ("address_trace", Ok(stmt), Some(program)) => {
+                sections_for_address_trace(&lock_read(trace.wet()), program, stmt)
+            }
+            _ => sections_for_op(op),
+        };
         meta.rec.store_hit = trace.sections_resident(needs);
         let _pin = match sh.store.ensure(&trace, needs) {
             Ok(p) => Some(p),
@@ -959,17 +966,18 @@ impl Server {
                     "backward" => false,
                     other => return Err(Wire::BadRequest(format!("unknown dir `{other}`"))),
                 };
-                if ctl.has_budget() {
-                    // Budgeted: answer what the byte/wall budget covers,
-                    // gap-annotate the rest. Works from snapshots, so the
-                    // shared read lock suffices.
+                if !strict || ctl.has_budget() {
+                    // Partial: answer what the surviving sections and the
+                    // byte/wall budget cover, gap-annotate the rest. Works
+                    // from snapshots, so the shared read lock suffices.
                     if !forward {
-                        return Err(Wire::BadRequest("budgeted cf_trace is forward-only".into()));
+                        let what = if ctl.has_budget() { "budgeted" } else { "degraded" };
+                        return Err(Wire::BadRequest(format!("{what} cf_trace is forward-only")));
                     }
                     let wet = lock_read(trace.wet());
-                    let (steps, deg) = query::cf_trace_forward_budgeted_ctl(&wet, ctl)?;
+                    let (steps, deg) = query::cf_trace_forward_partial(&wet, ctl)?;
                     Ok(steps_value(&steps, Some(&deg), ctl.bytes_spent()))
-                } else if strict {
+                } else {
                     let mut wet = lock_write(trace.wet());
                     let steps = if forward {
                         query::cf_trace_forward_ctl(&mut wet, ctl)?
@@ -977,39 +985,28 @@ impl Server {
                         query::cf_trace_backward_ctl(&mut wet, ctl)?
                     };
                     Ok(steps_value(&steps, None, 0))
-                } else {
-                    if !forward {
-                        return Err(Wire::BadRequest("degraded cf_trace is forward-only".into()));
-                    }
-                    let wet = lock_read(trace.wet());
-                    let (steps, deg) = query::cf_trace_forward_degraded_ctl(&wet, ctl)?;
-                    Ok(steps_value(&steps, Some(&deg), 0))
                 }
             }
             "value_trace" => {
                 let stmt = stmt_of(req)?;
                 let wet = lock_read(trace.wet());
-                if ctl.has_budget() {
-                    let (pairs, deg) = query::value_trace_budgeted_ctl(&wet, stmt, threads, ctl)?;
+                if !strict || ctl.has_budget() {
+                    let (pairs, deg) = query::value_trace_partial(&wet, stmt, threads, ctl)?;
                     Ok(pairs_value(&pairs, |&(ts, v)| (ts as i64, v), Some(&deg), ctl.bytes_spent()))
-                } else if strict {
-                    let pairs = query::engine::value_trace_ctl(&wet, stmt, threads, ctl)?;
-                    Ok(pairs_value(&pairs, |&(ts, v)| (ts as i64, v), None, 0))
                 } else {
-                    let (pairs, deg) = query::engine::value_trace_degraded_ctl(&wet, stmt, threads, ctl)?;
-                    Ok(pairs_value(&pairs, |&(ts, v)| (ts as i64, v), Some(&deg), 0))
+                    let pairs = query::value_trace_ctl(&wet, stmt, threads, ctl)?;
+                    Ok(pairs_value(&pairs, |&(ts, v)| (ts as i64, v), None, 0))
                 }
             }
             "address_trace" => {
                 let stmt = stmt_of(req)?;
                 let program = program_of(&trace)?;
                 let wet = lock_read(trace.wet());
-                if ctl.has_budget() {
-                    let (pairs, deg) =
-                        query::address_trace_budgeted_ctl(&wet, program, stmt, threads, ctl)?;
+                if !strict || ctl.has_budget() {
+                    let (pairs, deg) = query::address_trace_partial(&wet, program, stmt, threads, ctl)?;
                     Ok(pairs_value(&pairs, |&(ts, a)| (ts as i64, a as i64), Some(&deg), ctl.bytes_spent()))
                 } else {
-                    let pairs = query::engine::address_trace_ctl(&wet, program, stmt, threads, ctl)?;
+                    let pairs = query::address_trace_ctl(&wet, program, stmt, threads, ctl)?;
                     Ok(pairs_value(&pairs, |&(ts, a)| (ts as i64, a as i64), None, 0))
                 }
             }
@@ -1052,8 +1049,7 @@ impl Server {
                     let slice = query::backward_slice_ctl(&mut wet, program, criterion, spec, ctl)?;
                     Ok(slice_value(&slice, None))
                 } else {
-                    let (slice, deg) =
-                        query::backward_slice_degraded_ctl(&mut wet, program, criterion, spec, ctl)?;
+                    let (slice, deg) = query::backward_slice_partial(&mut wet, program, criterion, spec, ctl)?;
                     Ok(slice_value(&slice, Some(&deg)))
                 }
             }

@@ -67,11 +67,11 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             )
         })
         .expect("program has a load");
-    let values = query::value_trace(&wet, load_stmt).unwrap();
+    let values = query::value_trace(&wet, load_stmt, 1).unwrap();
     println!("load value trace: first five = {:?}", &values[..5.min(values.len())]);
 
     // Query 3: its address trace.
-    let addrs = query::address_trace(&wet, &program, load_stmt).unwrap();
+    let addrs = query::address_trace(&wet, &program, load_stmt, 1).unwrap();
     println!("load address trace: first five = {:?}", &addrs[..5.min(addrs.len())]);
 
     // Query 4: a backward WET slice from the last total update.

@@ -46,7 +46,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         "load", "dyn execs", "distinct", "top1 %", "last hit%", "top value"
     );
     for &s in loads.iter().take(10) {
-        let trace = query::value_trace(&wet, s).unwrap();
+        let trace = query::value_trace(&wet, s, 1).unwrap();
         if trace.is_empty() {
             continue;
         }
@@ -76,9 +76,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let busiest = loads
         .iter()
         .copied()
-        .max_by_key(|&s| query::value_trace(&wet, s).unwrap().len())
+        .max_by_key(|&s| query::value_trace(&wet, s, 1).unwrap().len())
         .expect("loads exist");
-    let addrs = query::address_trace(&wet, &w.program, busiest).unwrap();
+    let addrs = query::address_trace(&wet, &w.program, busiest, 1).unwrap();
     let mut strides: HashMap<i64, u64> = HashMap::new();
     for pair in addrs.windows(2) {
         strides.entry(pair[1].1 as i64 - pair[0].1 as i64).and_modify(|n| *n += 1).or_insert(1);

@@ -54,7 +54,7 @@ fn budgeted_cf_trace_sound_for_all_workloads() {
         let full = query::cf_trace_forward(&mut wet).expect("full cf trace");
         for budget in [0u64, 8 * full.len() as u64 / 2, u64::MAX] {
             let (steps, deg) =
-                query::cf_trace_forward_budgeted_ctl(&wet, &budgeted(budget)).expect("budgeted");
+                query::cf_trace_forward_partial(&wet, &budgeted(budget)).expect("budgeted");
             assert!(
                 is_subsequence(&steps, &full),
                 "{}: budget {budget} fabricated or reordered steps",
@@ -78,7 +78,7 @@ fn budgeted_cf_trace_sound_for_all_workloads() {
                 );
             }
             let (again, deg2) =
-                query::cf_trace_forward_budgeted_ctl(&wet, &budgeted(budget)).expect("rerun");
+                query::cf_trace_forward_partial(&wet, &budgeted(budget)).expect("rerun");
             assert_eq!((&steps, &deg), (&again, &deg2), "{}: budget {budget} nondeterministic", kind.name());
         }
     }
@@ -108,9 +108,9 @@ fn budgeted_traces_deterministic_across_thread_counts() {
             let full_a = query::engine::address_trace(&wet, &program, s, 1).unwrap();
             let budget = 64u64;
             let (base_v, base_vd) =
-                query::value_trace_budgeted_ctl(&wet, s, 1, &budgeted(budget)).unwrap();
+                query::value_trace_partial(&wet, s, 1, &budgeted(budget)).unwrap();
             let (base_a, base_ad) =
-                query::address_trace_budgeted_ctl(&wet, &program, s, 1, &budgeted(budget)).unwrap();
+                query::address_trace_partial(&wet, &program, s, 1, &budgeted(budget)).unwrap();
             assert!(is_subsequence(&base_v, &full_v), "{}: stmt {s:?} fabricated values", kind.name());
             assert!(is_subsequence(&base_a, &full_a), "{}: stmt {s:?} fabricated addresses", kind.name());
             if base_v.len() < full_v.len() {
@@ -137,9 +137,9 @@ fn budgeted_traces_deterministic_across_thread_counts() {
                     "{}: full address trace diverges at {t} threads",
                     kind.name()
                 );
-                let (v, vd) = query::value_trace_budgeted_ctl(&wet, s, t, &budgeted(budget)).unwrap();
+                let (v, vd) = query::value_trace_partial(&wet, s, t, &budgeted(budget)).unwrap();
                 let (a, ad) =
-                    query::address_trace_budgeted_ctl(&wet, &program, s, t, &budgeted(budget)).unwrap();
+                    query::address_trace_partial(&wet, &program, s, t, &budgeted(budget)).unwrap();
                 assert_eq!(
                     (&v, &vd),
                     (&base_v, &base_vd),
@@ -175,19 +175,19 @@ proptest! {
         let (mut wet, program) = build(kind);
 
         let full_cf = query::cf_trace_forward(&mut wet).unwrap();
-        let (cf, cf_deg) = query::cf_trace_forward_budgeted_ctl(&wet, &budgeted(budget)).unwrap();
+        let (cf, cf_deg) = query::cf_trace_forward_partial(&wet, &budgeted(budget)).unwrap();
         prop_assert!(is_subsequence(&cf, &full_cf));
         prop_assert_eq!(cf.len() as u64 + cf_deg.steps_missing, full_cf.len() as u64);
         prop_assert_eq!(cf.len() == full_cf.len(), cf_deg.is_complete());
 
         let s = StmtId(stmt_salt % program.stmt_count() as u32);
         let full = query::engine::value_trace(&wet, s, threads).unwrap();
-        let (v, deg) = query::value_trace_budgeted_ctl(&wet, s, threads, &budgeted(budget)).unwrap();
+        let (v, deg) = query::value_trace_partial(&wet, s, threads, &budgeted(budget)).unwrap();
         prop_assert!(is_subsequence(&v, &full), "fabricated values");
         if v.len() < full.len() {
             prop_assert!(!deg.is_complete(), "partial answer not gap-annotated");
         }
-        let (v1, deg1) = query::value_trace_budgeted_ctl(&wet, s, 1, &budgeted(budget)).unwrap();
+        let (v1, deg1) = query::value_trace_partial(&wet, s, 1, &budgeted(budget)).unwrap();
         prop_assert_eq!((v, deg), (v1, deg1), "budgeted answer depends on thread count");
     }
 }

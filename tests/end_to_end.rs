@@ -41,7 +41,7 @@ fn value_traces_match_for_all_workloads() {
         for sid in 0..p.stmt_count() as u32 {
             let stmt = StmtId(sid);
             let expected = rec.values_of(stmt);
-            let got: Vec<i64> = query::value_trace(&wet, stmt).unwrap().into_iter().map(|(_, v)| v).collect();
+            let got: Vec<i64> = query::value_trace(&wet, stmt, 1).unwrap().into_iter().map(|(_, v)| v).collect();
             assert_eq!(got, expected, "{}: value trace of {stmt}", kind.name());
         }
     }
@@ -55,7 +55,7 @@ fn address_traces_match_for_all_workloads() {
             let stmt = StmtId(sid);
             let expected = rec.addresses_of(stmt);
             let got: Vec<u64> =
-                query::address_trace(&wet, &p, stmt).unwrap().into_iter().map(|(_, a)| a).collect();
+                query::address_trace(&wet, &p, stmt, 1).unwrap().into_iter().map(|(_, a)| a).collect();
             assert_eq!(got, expected, "{}: address trace of {stmt}", kind.name());
         }
     }
@@ -171,8 +171,8 @@ fn global_ts_mode_matches_local_mode_semantics() {
     for sid in (0..p.stmt_count() as u32).step_by(3) {
         let stmt = StmtId(sid);
         assert_eq!(
-            query::value_trace(&local, stmt).unwrap(),
-            query::value_trace(&global, stmt).unwrap(),
+            query::value_trace(&local, stmt, 1).unwrap(),
+            query::value_trace(&global, stmt, 1).unwrap(),
             "value traces agree across modes for {stmt}"
         );
     }

@@ -108,8 +108,52 @@ fn seeded_mutations_never_break_the_decoder() {
             decode_must_survive(&pristine, &mutated, &what, kind);
             total += 1;
         }
+        // A forged BIND timestamp span with a valid checksum: only the
+        // decoder's own consistency check stands between it and a trace
+        // buffer sized by the forged span.
+        let forged = forge_bind_last_ts(&pristine, 1 << 40);
+        decode_must_survive(&pristine, &forged, "forged BIND timestamp span", kind);
+        forged_span_is_typed_corrupt(&forged, kind);
+        total += 1;
     }
     assert!(total >= 500, "harness only exercised {total} mutations");
+}
+
+/// Rewrites the last timestamp recorded in `BIND` (the payload's final
+/// eight bytes) and recomputes the section checksum.
+fn forge_bind_last_ts(bytes: &[u8], last_ts: u64) -> Vec<u8> {
+    let span = *wet_core::section_spans(bytes)
+        .expect("pristine image dissects")
+        .iter()
+        .find(|s| &s.tag == b"BIND")
+        .expect("BIND present");
+    let mut out = bytes.to_vec();
+    let end = span.payload_start + span.payload_len;
+    out[end - 8..end].copy_from_slice(&last_ts.to_le_bytes());
+    let mut crc = wet_core::crc::Crc32::new();
+    crc.update(&span.tag);
+    crc.update(&(span.payload_len as u64).to_le_bytes());
+    crc.update(&out[span.payload_start..end]);
+    out[end..end + 4].copy_from_slice(&crc.finish().to_le_bytes());
+    out
+}
+
+/// Both entry points that decode `BIND` — the strict reader and the
+/// lazy store's open — reject `forged` as typed corrupt data.
+fn forged_span_is_typed_corrupt(forged: &[u8], kind: Kind) {
+    let err = Wet::read_from(&mut &forged[..]).expect_err("forged span accepted");
+    assert_eq!(err.kind(), std::io::ErrorKind::InvalidData, "{}: {err}", kind.name());
+    let dir = std::env::temp_dir().join(format!("wet-forged-bind-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let path = dir.join(format!("{}.wetz", kind.name()));
+    std::fs::write(&path, forged).unwrap();
+    let store = wet_core::TraceStore::new(wet_core::StoreOptions::default());
+    match store.open("forged", "", &path, None) {
+        Err(wet_core::StoreErr::Corrupt(_)) => {}
+        Err(e) => panic!("{}: store open: expected corrupt, got {e}", kind.name()),
+        Ok(_) => panic!("{}: store opened a forged BIND span", kind.name()),
+    }
+    let _ = std::fs::remove_dir_all(&dir);
 }
 
 /// The v1 compatibility reader faces the same adversary as v2 — but
@@ -183,7 +227,7 @@ fn salvage_recovers_every_intact_section() {
         let (wet, report) =
             Wet::read_salvaging(&mut &damage_section(&bytes, b"VALS")[..]).expect("salvageable");
         assert!(report.seqs_lost > 0 && report.seqs_recovered > 0, "{}: VALS damage", kind.name());
-        let (cf, deg) = query::cf_trace_forward_degraded(&wet);
+        let (cf, deg) = query::cf_trace_forward_partial(&wet, &query::Ctl::unbounded()).unwrap();
         assert!(deg.is_complete(), "{}: CF survives VALS damage", kind.name());
         assert_eq!(cf, strict_cf, "{}: CF equal after VALS damage", kind.name());
 
@@ -193,7 +237,7 @@ fn salvage_recovers_every_intact_section() {
         let (wet, report) =
             Wet::read_salvaging(&mut &damage_section(&bytes, b"TSEQ")[..]).expect("salvageable");
         assert!(report.seqs_lost > 0, "{}: TSEQ damage loses sequences", kind.name());
-        let (_, deg) = query::cf_trace_forward_degraded(&wet);
+        let (_, deg) = query::cf_trace_forward_partial(&wet, &query::Ctl::unbounded()).unwrap();
         assert!(!deg.is_complete(), "{}: TSEQ damage degrades CF", kind.name());
         assert!(
             wet.nodes().iter().all(|n| n.groups.iter().all(|g| g.uvals.iter().all(|u| u.is_available()))),
@@ -205,7 +249,7 @@ fn salvage_recovers_every_intact_section() {
         // survive; the strict reader still refuses the file.
         let (wet, _) =
             Wet::read_salvaging(&mut &damage_section(&bytes, b"EDGL")[..]).expect("salvageable");
-        let (cf, deg) = query::cf_trace_forward_degraded(&wet);
+        let (cf, deg) = query::cf_trace_forward_partial(&wet, &query::Ctl::unbounded()).unwrap();
         assert!(deg.is_complete() && cf == strict_cf, "{}: CF survives EDGL damage", kind.name());
         assert!(Wet::read_from(&mut &damage_section(&bytes, b"EDGL")[..]).is_err());
     }
@@ -233,7 +277,7 @@ fn strict_queries_report_corrupt_instead_of_panicking() {
         let mut corrupt_seen = false;
         for &s in &stmts {
             let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                query::value_trace(&wet, s)
+                query::value_trace(&wet, s, 1)
             }));
             match outcome {
                 Ok(Ok(_)) => {}
@@ -245,7 +289,7 @@ fn strict_queries_report_corrupt_instead_of_panicking() {
         assert!(corrupt_seen, "{}: VALS damage never surfaced as Corrupt", kind.name());
         // The degraded variant stays total on the same WET.
         for &s in &stmts {
-            let _ = query::value_trace_degraded(&wet, s);
+            let _ = query::value_trace_partial(&wet, s, 1, &query::Ctl::unbounded()).unwrap();
         }
 
         // Damaged TSEQ: the strict whole-trace walk hits an unavailable

@@ -52,8 +52,8 @@ fn check_reload(original: &mut Wet, bytes: &[u8], ctx: &str) {
     for sid in 0..16 {
         let stmt = StmtId(sid);
         assert_eq!(
-            query::value_trace(&reread, stmt).unwrap(),
-            query::value_trace(original, stmt).unwrap(),
+            query::value_trace(&reread, stmt, 1).unwrap(),
+            query::value_trace(original, stmt, 1).unwrap(),
             "{ctx}: value trace of {stmt} differs"
         );
     }

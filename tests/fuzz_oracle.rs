@@ -210,10 +210,10 @@ fn check_program(seed: u64) {
         // Values and addresses per statement.
         for sid in 0..p.stmt_count() as u32 {
             let stmt = StmtId(sid);
-            let got: Vec<i64> = query::value_trace(&wet, stmt).unwrap().into_iter().map(|(_, v)| v).collect();
+            let got: Vec<i64> = query::value_trace(&wet, stmt, 1).unwrap().into_iter().map(|(_, v)| v).collect();
             assert_eq!(got, rec.values_of(stmt), "seed {seed} tier2={tier2}: values of {stmt}");
             let got: Vec<u64> =
-                query::address_trace(&wet, &p, stmt).unwrap().into_iter().map(|(_, a)| a).collect();
+                query::address_trace(&wet, &p, stmt, 1).unwrap().into_iter().map(|(_, a)| a).collect();
             assert_eq!(got, rec.addresses_of(stmt), "seed {seed} tier2={tier2}: addrs of {stmt}");
         }
     }

@@ -119,10 +119,22 @@ fn tracing_does_not_change_any_response_byte() {
         // --slow-ms 0 makes every traced data-plane request slow.
         let slow = std::fs::read_to_string(d.join(format!("slow-{threads}.log"))).unwrap();
         assert!(!slow.is_empty(), "slow log empty under --slow-ms 0");
+        let mut cf_dirs = 0;
         for l in slow.lines() {
             let v = json::parse(l).expect("slow line parses");
             assert_eq!(v.get("schema").and_then(|s| s.as_str()), Some("wet-slow/1"));
+            if v.get("op").and_then(|s| s.as_str()) != Some("cf_trace") {
+                continue;
+            }
+            // Forward and backward CF traces share one walk, which
+            // records the engine phase and the step count.
+            cf_dirs += 1;
+            let events = v.get("events").and_then(|e| e.as_arr()).expect("slow line has events");
+            let names: Vec<&str> = events.iter().filter_map(|e| e.get("name").and_then(|n| n.as_str())).collect();
+            assert!(names.contains(&"engine.cf_trace"), "cf_trace slow line lacks the engine phase: {l}");
+            assert!(names.contains(&"cf.steps"), "cf_trace slow line lacks cf.steps: {l}");
         }
+        assert_eq!(cf_dirs, 2, "one slow line per CF direction");
     }
     let _ = std::fs::remove_dir_all(&d);
 }

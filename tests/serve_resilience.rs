@@ -148,6 +148,45 @@ fn failed_queries_leave_no_partial_state() {
     }
 }
 
+/// `strict:false` asks every trace op for the salvage answer. Over a
+/// container whose value section was lost, an address trace that
+/// strictly answers `corrupt` instead answers `quality: degraded`,
+/// reporting the nodes whose producer values are gone.
+#[test]
+fn degraded_address_trace_answers_around_lost_values() {
+    let kind = Kind::Gzip;
+    let (bytes, program, stmts) = trace_bytes(kind);
+    let vals = *wet_core::section_spans(bytes)
+        .expect("spans")
+        .iter()
+        .find(|s| &s.tag == b"VALS")
+        .expect("VALS span");
+    let mut damaged = bytes.clone();
+    damaged[vals.payload_start + vals.payload_len / 2] ^= 0x10;
+    let (wet, report) = Wet::read_salvaging(&mut &damaged[..]).expect("salvageable");
+    assert!(report.seqs_lost > 0, "VALS damage loses sequences");
+    let server = Server::new(wet, Some(program.clone()), ServeOptions::default());
+    let mut degraded_seen = 0;
+    for (i, &s) in stmts.iter().enumerate() {
+        let req = vec![("op", Value::Str("address_trace".into())), ("stmt", Value::Int(s.0 as i64))];
+        let strict = String::from_utf8(server.handle_frame(&frame_for(i as u64, &req))).expect("utf-8");
+        let mut partial_req = req.clone();
+        partial_req.push(("strict", Value::Bool(false)));
+        let partial = server.handle_frame(&frame_for(i as u64, &partial_req));
+        let v = json::parse(std::str::from_utf8(&partial).expect("utf-8")).expect("reply parses");
+        let result =
+            v.get("result").unwrap_or_else(|| panic!("s{}: partial answer failed: {}", s.0, v.render()));
+        if !strict.contains("\"kind\":\"corrupt\"") {
+            continue;
+        }
+        assert_eq!(result.get("quality").and_then(|q| q.as_str()), Some("degraded"), "s{}", s.0);
+        let skipped = result.get("degraded").and_then(|d| d.get("nodes_skipped")).and_then(|n| n.as_i64());
+        assert!(skipped.is_some_and(|n| n > 0), "s{}: no skipped nodes reported", s.0);
+        degraded_seen += 1;
+    }
+    assert!(degraded_seen > 0, "no address trace reached the lost values");
+}
+
 /// One client's random session against a live socket server: every
 /// reply is complete or a clean typed error.
 fn run_session(addr: &str, kind: Kind, seed: u64) -> Result<(), String> {

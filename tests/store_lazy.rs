@@ -25,7 +25,7 @@ use wet::prelude::*;
 use wet::workloads::Kind;
 use wet_ir::StmtId;
 use wet_serve::json::{self, Value};
-use wet_serve::{Server, ServeOptions};
+use wet_serve::{PressureOptions, Server, ServeOptions};
 
 const TARGET: u64 = 6_000;
 
@@ -382,4 +382,58 @@ fn list_reports_open_traces_with_residency() {
     assert!(text.contains("\"lazy\":true"), "{text}");
     // Nothing queried yet: no lazy section is resident.
     assert!(!text.contains("\"resident\":[true"), "{text}");
+}
+
+/// Address traces on a lazily opened trace read the edge-label pools
+/// whenever a load/store's address producer sits behind a labelled
+/// edge, so the store must make `EDGL` resident for those statements.
+/// Every load/store of a li-like trace, served from a store under a
+/// budget, answers exactly what the in-memory WET answers.
+#[test]
+fn lazy_address_traces_match_in_memory_for_every_memory_stmt() {
+    let kind = Kind::Li;
+    let (bytes, _) = trace_bytes(kind);
+    let program = wet::workloads::build(kind, TARGET).program;
+    let eager = Server::new(
+        Wet::read_from(&mut &bytes[..]).expect("cached trace reads"),
+        Some(program.clone()),
+        ServeOptions::default(),
+    );
+    // About half the container: sections evict and refill between
+    // statements that need the label pools and statements that don't.
+    let budget = bytes.len() as u64 / 2;
+    let store = Server::with_store(ServeOptions {
+        store_budget: budget,
+        // No brownout: a store filled to its budget is the steady state
+        // here, not overload, and every answer must be whole.
+        pressure: PressureOptions { brownout_budget_bytes: 0, ..PressureOptions::default() },
+        ..ServeOptions::default()
+    });
+    store
+        .store()
+        .open("t", "", &store_root().join(format!("{}.wetz", kind.name())), Some(program.clone()))
+        .expect("lazy open");
+    let mem_stmts: Vec<StmtId> = (0..program.stmt_count() as u32)
+        .map(StmtId)
+        .filter(|&s| {
+            matches!(
+                program.stmt_ref(s),
+                wet_ir::program::StmtRef::Stmt(st)
+                    if matches!(st.kind, wet_ir::stmt::StmtKind::Load { .. } | wet_ir::stmt::StmtKind::Store { .. })
+            )
+        })
+        .collect();
+    assert!(!mem_stmts.is_empty(), "li-like has loads and stores");
+    for (i, s) in mem_stmts.into_iter().enumerate() {
+        let req = vec![("op", Value::Str("address_trace".into())), ("stmt", Value::Int(s.0 as i64))];
+        let expect = eager.handle_frame(&frame_for(i as u64, &req));
+        assert!(String::from_utf8_lossy(&expect).contains("\"ok\":true"), "eager s{}", s.0);
+        let got = store.handle_frame(&frame_for(i as u64, &with_trace(&req)));
+        assert_eq!(
+            String::from_utf8_lossy(&got),
+            String::from_utf8_lossy(&expect),
+            "s{}: lazily served address trace differs",
+            s.0
+        );
+    }
 }
