@@ -163,6 +163,24 @@ done
 for s in 0 1 2 3 4 5 6 7 8 9 10 11 12 13 14 15; do
     "$wet" query address_trace --stmt "$s" --remote "$sock" > /dev/null 2>&1 || true
 done
+# Strict cf_trace (both directions) and slices run under the trace's
+# shared read lock: run at once, each answers byte for byte what it
+# answers alone.
+"$wet" query cf_trace --remote "$sock" > "$serve_dir/fwd.serial"
+"$wet" query cf_trace --backward --remote "$sock" > "$serve_dir/bwd.serial"
+"$wet" query slice --node 1 --stmt 17 --k 60 --remote "$sock" > "$serve_dir/slice.serial"
+"$wet" query cf_trace --remote "$sock" > "$serve_dir/fwd.concurrent" &
+fwd_pid=$!
+"$wet" query cf_trace --backward --remote "$sock" > "$serve_dir/bwd.concurrent" &
+bwd_pid=$!
+"$wet" query slice --node 1 --stmt 17 --k 60 --remote "$sock" > "$serve_dir/slice.concurrent" &
+slice_pid=$!
+wait "$fwd_pid"
+wait "$bwd_pid"
+wait "$slice_pid"
+for q in fwd bwd slice; do
+    cmp "$serve_dir/$q.serial" "$serve_dir/$q.concurrent"
+done
 # An impossible deadline must come back as a typed retriable error
 # with the documented exit code 5 — never a hang or a dropped socket.
 deadline_status=0

@@ -48,7 +48,7 @@ fn bench_queries(c: &mut Criterion) {
                 |b, w| {
                     b.iter_batched(
                         || w.clone(),
-                        |mut w| black_box(cf_trace_forward(&mut w).unwrap().len()),
+                        |w| black_box(cf_trace_forward(&w).unwrap().len()),
                         criterion::BatchSize::LargeInput,
                     );
                 },
@@ -85,10 +85,10 @@ fn bench_queries(c: &mut Criterion) {
                 |b, w| {
                     b.iter_batched(
                         || w.clone(),
-                        |mut w| {
+                        |w| {
                             let mut n = 0;
                             for &cr in &criteria {
-                                n += backward_slice(&mut w, &program, cr, SliceSpec::default()).unwrap().len();
+                                n += backward_slice(&w, &program, cr, SliceSpec::default()).unwrap().len();
                             }
                             black_box(n)
                         },

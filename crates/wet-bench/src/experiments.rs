@@ -213,12 +213,12 @@ pub fn table6(scale: &Scale) {
     rule(108);
     for kind in Kind::all() {
         let mut b = build_wet(kind, scale.timing_stmts, WetConfig::default());
-        let (steps, t1f) = timed(|| cf_trace_forward(&mut b.wet).unwrap());
+        let (steps, t1f) = timed(|| cf_trace_forward(&b.wet).unwrap());
         let bytes = trace_bytes(&b.wet, &steps);
-        let (_, t1b) = timed(|| cf_trace_backward(&mut b.wet).unwrap());
+        let (_, t1b) = timed(|| cf_trace_backward(&b.wet).unwrap());
         b.wet.compress();
-        let (_, t2f) = timed(|| cf_trace_forward(&mut b.wet).unwrap());
-        let (_, t2b) = timed(|| cf_trace_backward(&mut b.wet).unwrap());
+        let (_, t2f) = timed(|| cf_trace_forward(&b.wet).unwrap());
+        let (_, t2b) = timed(|| cf_trace_backward(&b.wet).unwrap());
         let m = mb(bytes);
         println!(
             "{:<14} {:>9.2} | {:>8.3} {:>8.1} {:>8.3} {:>8.1} | {:>8.3} {:>8.1} {:>8.3} {:>8.1}",
@@ -329,13 +329,13 @@ pub fn table9(scale: &Scale) {
         let (sizes, t1) = timed(|| {
             criteria
                 .iter()
-                .map(|&c| backward_slice(&mut b.wet, &b.program, c, SliceSpec::default()).unwrap().len() as u64)
+                .map(|&c| backward_slice(&b.wet, &b.program, c, SliceSpec::default()).unwrap().len() as u64)
                 .sum::<u64>()
         });
         b.wet.compress();
         let (_, t2) = timed(|| {
             for &c in &criteria {
-                backward_slice(&mut b.wet, &b.program, c, SliceSpec::default()).unwrap();
+                backward_slice(&b.wet, &b.program, c, SliceSpec::default()).unwrap();
             }
         });
         let n = criteria.len().max(1) as f64;
@@ -659,9 +659,9 @@ pub fn write_store_json(scale: &Scale, path: &std::path::Path) -> std::io::Resul
         for t in &traces {
             let pin = store.ensure(t, &[LazySection::Tseq, LazySection::Vals]).expect("ensure");
             {
-                let mut wet = t.wet().write().expect("wet lock");
+                let wet = t.wet().read().expect("wet lock");
                 std::hint::black_box(
-                    wet_core::query::cf_trace_forward(&mut wet).expect("cf trace").len(),
+                    wet_core::query::cf_trace_forward(&wet).expect("cf trace").len(),
                 );
             }
             peak = peak.max(store.resident_bytes());
@@ -813,17 +813,17 @@ pub fn ablation(scale: &Scale) {
     rule(84);
     // Sample one timestamp stream and one value stream from a workload.
     let b = build_wet(Kind::Gcc, target.min(500_000), WetConfig::default());
-    let mut wet = b.wet;
+    let wet = b.wet;
     let big = (0..wet.nodes().len())
         .max_by_key(|&i| wet.nodes()[i].n_execs)
         .expect("nodes exist");
     let node = wet_core::NodeId(big as u32);
-    let ts = wet.node_mut(node).ts.to_vec();
+    let ts = wet.node(node).ts.to_vec_snapshot();
     let val = {
-        let n = wet.node_mut(node);
+        let n = wet.node(node);
         let stmt = n.stmts.iter().find(|s| s.has_def).expect("def stmt").id;
-        let n_execs = n.n_execs as usize;
-        (0..n_execs).map(|k| n.value_at(stmt, k).unwrap_or(0) as u64).collect::<Vec<u64>>()
+        let mut cur = wet_core::Cursor::new(&wet);
+        (0..n.n_execs as usize).map(|k| cur.value_at(node, stmt, k).unwrap_or(0) as u64).collect::<Vec<u64>>()
     };
     for (name, stream) in [("timestamps", ts), ("values", val)] {
         let cfg = StreamConfig::default();

@@ -215,7 +215,7 @@ fn store_leg(base: &Path, baseline: &[u8], seed: u64) -> Result<(u64, u64)> {
     let _pc = clean
         .ensure(&tc, &LAZY_SECTIONS)
         .map_err(|e| fail(EXIT_UNAVAILABLE, format!("clean decode failed: {e}")))?;
-    let expect = query::cf_trace_forward(&mut tc.wet().write().unwrap())
+    let expect = query::cf_trace_forward(&tc.wet().read().unwrap())
         .map_err(|e| fail(EXIT_UNAVAILABLE, format!("clean query failed: {e}")))?;
 
     // Flip one payload byte in a lazily-decoded section, seeded.
@@ -271,7 +271,7 @@ fn store_leg(base: &Path, baseline: &[u8], seed: u64) -> Result<(u64, u64)> {
     let _pin = store
         .ensure(&t, &LAZY_SECTIONS)
         .map_err(|e| fail(EXIT_UNAVAILABLE, format!("post-repair decode failed: {e}")))?;
-    let got = query::cf_trace_forward(&mut t.wet().write().unwrap())
+    let got = query::cf_trace_forward(&t.wet().read().unwrap())
         .map_err(|e| fail(EXIT_UNAVAILABLE, format!("post-repair query failed: {e}")))?;
     if got != expect {
         return Err(fail(

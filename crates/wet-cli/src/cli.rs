@@ -870,19 +870,19 @@ fn dispatch_cmd(args: &[String]) -> Result<()> {
             let path = rest.first().ok_or(USAGE)?;
             let flags = parse_flags(&rest[1..])?;
             let p = load(path)?;
-            let (mut wet, _) = trace(&p, &flags.inputs, !flags.tier1, flags.threads)?;
+            let (wet, _) = trace(&p, &flags.inputs, !flags.tier1, flags.threads)?;
             let node = flags.node.ok_or("dump requires --node N")?;
             if node as usize >= wet.nodes().len() {
                 return Err(format!("node {node} out of range (0..{})", wet.nodes().len()).into());
             }
-            say_block(&dump::dump_node(&mut wet, &p, wet_core::NodeId(node), flags.max));
+            say_block(&dump::dump_node(&wet, &p, wet_core::NodeId(node), flags.max));
             Ok(())
         }
         "slice" => {
             let path = rest.first().ok_or(USAGE)?;
             let flags = parse_flags(&rest[1..])?;
             let p = load(path)?;
-            let (mut wet, _) = trace(&p, &flags.inputs, !flags.tier1, flags.threads)?;
+            let (wet, _) = trace(&p, &flags.inputs, !flags.tier1, flags.threads)?;
             let stmt = StmtId(flags.stmt.ok_or("slice requires --stmt N")?);
             // Criterion: the last execution of the statement.
             let candidates: Vec<(wet_core::NodeId, u32)> = wet
@@ -896,7 +896,7 @@ fn dispatch_cmd(args: &[String]) -> Result<()> {
                 return Err(format!("statement s{} never executed", stmt.0).into());
             };
             let spec = query::SliceSpec { data: true, control: !flags.no_control };
-            let slice = query::backward_slice(&mut wet, &p, query::WetSliceElem { node, stmt, k }, spec)
+            let slice = query::backward_slice(&wet, &p, query::WetSliceElem { node, stmt, k }, spec)
                 .map_err(query_fail)?;
             say!(
                 "backward slice of {stmt} (execution {k} of node n{}):",

@@ -1271,7 +1271,7 @@ mod tests {
             .filter(|s| matches!(s, Seq::Unavailable(_)))
             .count();
         assert!(lost > 0, "shed nodes must surface Unavailable value streams");
-        assert_eq!(query::cf_trace_forward(&mut wet).unwrap().len() as u64, wet.stats().paths_executed);
+        assert_eq!(query::cf_trace_forward(&wet).unwrap().len() as u64, wet.stats().paths_executed);
         wet.compress();
         let mut out = Vec::new();
         wet.write_to(&mut out).unwrap();

@@ -4,6 +4,7 @@
 //! the unlabeled `CF` edges of its node.
 
 use crate::graph::{NodeId, TsMode, Wet, SLOT_CD, SLOT_MEM, SLOT_OP0, SLOT_OP1};
+use crate::seq::{Cursor, Seq};
 use std::fmt::Write as _;
 use wet_ir::{Program, StmtId};
 
@@ -31,7 +32,7 @@ fn fmt_pairs(dst: &[u64], src: &[u64], max: usize) -> String {
 
 /// Renders one node: its blocks, timestamp labels, per-statement value
 /// labels, intra/inter dependence edges, and CF neighbours.
-pub fn dump_node(wet: &mut Wet, program: &Program, node: NodeId, max: usize) -> String {
+pub fn dump_node(wet: &Wet, program: &Program, node: NodeId, max: usize) -> String {
     let mut out = String::new();
     let (func, path_id, blocks, n_execs) = {
         let n = wet.node(node);
@@ -46,7 +47,7 @@ pub fn dump_node(wet: &mut Wet, program: &Program, node: NodeId, max: usize) -> 
         blocks.iter().map(|b| b.0).collect::<Vec<_>>(),
         n_execs
     );
-    let ts = wet.node_mut(node).ts.to_vec();
+    let ts = wet.node(node).ts.to_vec_snapshot();
     let shown: Vec<String> = ts.iter().take(max).map(|t| t.to_string()).collect();
     let _ = writeln!(
         out,
@@ -70,7 +71,7 @@ pub fn dump_node(wet: &mut Wet, program: &Program, node: NodeId, max: usize) -> 
 }
 
 /// Renders one statement occurrence: value labels plus incoming edges.
-pub fn dump_stmt_in_node(wet: &mut Wet, program: &Program, node: NodeId, stmt: StmtId, max: usize) -> String {
+pub fn dump_stmt_in_node(wet: &Wet, program: &Program, node: NodeId, stmt: StmtId, max: usize) -> String {
     let mut out = String::new();
     let Some(pos) = wet.node(node).stmt_pos(stmt) else {
         return out;
@@ -79,11 +80,11 @@ pub fn dump_stmt_in_node(wet: &mut Wet, program: &Program, node: NodeId, stmt: S
     let _ = write!(out, "  {stmt}");
     if ns.has_def {
         let n_execs = wet.node(node).n_execs as usize;
+        let mut cur = Cursor::new(wet);
         let vals: Vec<String> = (0..n_execs.min(max))
             .map(|k| {
-                let n = wet.node_mut(node);
-                let t = n.ts_at(k);
-                let v = n.value_at(stmt, k).unwrap_or(0);
+                let t = cur.get(&wet.node(node).ts, k);
+                let v = cur.value_at(node, stmt, k).unwrap_or(0);
                 format!("<{t},{v}>")
             })
             .collect();
@@ -104,30 +105,18 @@ pub fn dump_stmt_in_node(wet: &mut Wet, program: &Program, node: NodeId, stmt: S
     let func = wet.node(node).func;
     let anchor = program.function(func).block(block).term().id;
     for (dst, label) in [(stmt, "deps"), (anchor, "block CD")] {
-        let keys: Vec<(StmtId, u8)> = wet
-            .node(node)
-            .intra
-            .keys()
-            .filter(|(d, slot)| *d == dst && ((*slot == SLOT_CD) == (label == "block CD")))
-            .copied()
-            .collect();
-        for (d, slot) in keys {
-            let n = wet.node_mut(node);
-            let Some(ies) = n.intra.get_mut(&(d, slot)) else { continue };
-            let descs: Vec<String> = ies
-                .iter_mut()
-                .map(|ie| {
-                    if ie.complete {
-                        format!("{} (intra, labels inferred)", ie.src)
-                    } else {
-                        let ks = ie.ks.as_mut().map(|k| k.to_vec()).unwrap_or_default();
-                        let pairs = fmt_pairs(&ks, &ks, max);
-                        format!("{} (intra, partial {pairs})", ie.src)
-                    }
-                })
-                .collect();
-            for d in descs {
-                let _ = writeln!(out, "    {} <- {}", slot_name(slot), d);
+        for (&(d, slot), ies) in &wet.node(node).intra {
+            if d != dst || (slot == SLOT_CD) != (label == "block CD") {
+                continue;
+            }
+            for ie in ies {
+                let desc = if ie.complete {
+                    format!("{} (intra, labels inferred)", ie.src)
+                } else {
+                    let ks = ie.ks.as_ref().map(Seq::to_vec_snapshot).unwrap_or_default();
+                    format!("{} (intra, partial {})", ie.src, fmt_pairs(&ks, &ks, max))
+                };
+                let _ = writeln!(out, "    {} <- {}", slot_name(slot), desc);
             }
         }
         // Non-local incoming edges.
@@ -135,13 +124,10 @@ pub fn dump_stmt_in_node(wet: &mut Wet, program: &Program, node: NodeId, stmt: S
             if (slot == SLOT_CD) != (label == "block CD") {
                 continue;
             }
-            let idxs: Vec<u32> = wet.in_edges(node, dst, slot).to_vec();
-            for ei in idxs {
+            for &ei in wet.in_edges(node, dst, slot) {
                 let e = wet.edges()[ei as usize];
-                let (dv, sv, len) = {
-                    let lab = &mut wet.labels[e.labels as usize];
-                    (lab.dst.to_vec(), lab.src.to_vec(), lab.len)
-                };
+                let lab = &wet.labels()[e.labels as usize];
+                let (dv, sv, len) = (lab.dst.to_vec_snapshot(), lab.src.to_vec_snapshot(), lab.len);
                 let mode = match wet.config().ts_mode {
                     TsMode::Local => "local",
                     TsMode::Global => "global",
@@ -196,7 +182,7 @@ mod tests {
 
         let mut all = String::new();
         for i in 0..wet.nodes().len() {
-            all.push_str(&dump_node(&mut wet, &p, NodeId(i as u32), 6));
+            all.push_str(&dump_node(&wet, &p, NodeId(i as u32), 6));
         }
         assert!(all.contains("node n0"), "{all}");
         assert!(all.contains("ts:"), "{all}");

@@ -206,36 +206,6 @@ impl Node {
         self.stmt_pos.get(&s).map(|&i| i as usize)
     }
 
-    /// The timestamp of execution `k`.
-    ///
-    /// # Panics
-    /// Panics if `k >= n_execs`.
-    pub fn ts_at(&mut self, k: usize) -> u64 {
-        self.ts.get(k)
-    }
-
-    /// The value the statement produced at execution `k`, when it has a
-    /// def port: `Values[k] = UVals[Pattern[k]]`. Returns `None` when
-    /// the backing sequences were lost to salvage.
-    pub fn value_at(&mut self, stmt: StmtId, k: usize) -> Option<i64> {
-        let pos = self.stmt_pos(stmt)?;
-        let ns = self.stmts[pos];
-        if !ns.has_def {
-            return None;
-        }
-        let g = &mut self.groups[ns.group as usize];
-        let idx = match &mut g.pattern {
-            None => k,
-            Some(p) if p.is_available() => p.get(k) as usize,
-            Some(_) => return None,
-        };
-        let u = &mut g.uvals[ns.member as usize];
-        if !u.is_available() {
-            return None;
-        }
-        Some(u.get(idx) as i64)
-    }
-
     /// True when every sequence needed to answer value queries against
     /// this node survived (always true outside salvage).
     pub fn values_available(&self) -> bool {
@@ -345,11 +315,6 @@ impl Wet {
     /// Panics if out of range.
     pub fn node(&self, id: NodeId) -> &Node {
         &self.nodes[id.index()]
-    }
-
-    /// Mutable node access (cursor movement).
-    pub fn node_mut(&mut self, id: NodeId) -> &mut Node {
-        &mut self.nodes[id.index()]
     }
 
     /// Looks up the node for `(func, path_id)`.
@@ -683,138 +648,5 @@ impl Wet {
             n += u64::from(!l.dst.is_available()) + u64::from(!l.src.is_available());
         }
         n
-    }
-
-    /// Resolves the producer of dependence slot `slot` of `dst_stmt` at
-    /// execution `k` of `node`: first by intra-node inference, then by
-    /// searching the labeled incoming edges. Returns the producing
-    /// `(node, stmt, execution)` triple.
-    pub fn resolve_producer(
-        &mut self,
-        node: NodeId,
-        dst_stmt: StmtId,
-        slot: u8,
-        k: u32,
-    ) -> Option<(NodeId, StmtId, u32)> {
-        // Intra-node edges: labels inferred (or stored per edge).
-        {
-            let n = &mut self.nodes[node.index()];
-            if let Some(ies) = n.intra.get_mut(&(dst_stmt, slot)) {
-                for ie in ies {
-                    if ie.complete {
-                        return Some((node, ie.src, k));
-                    }
-                    if let Some(ks) = &mut ie.ks {
-                        if ks.find_sorted(k as u64).is_some() {
-                            return Some((node, ie.src, k));
-                        }
-                    }
-                }
-            }
-        }
-        // Non-local labeled edges.
-        let key = match self.config.ts_mode {
-            TsMode::Local => k as u64,
-            TsMode::Global => self.nodes[node.index()].ts.get(k as usize),
-        };
-        // Clone the (small) index list to release the map borrow.
-        let edge_idxs = self.in_edges.get(&(node, dst_stmt, slot))?.clone();
-        for ei in edge_idxs {
-            let e = self.edges[ei as usize];
-            let lab = &mut self.labels[e.labels as usize];
-            if let Some(p) = lab.dst.find_sorted(key) {
-                let srcv = lab.src.get(p);
-                let k_src = match self.config.ts_mode {
-                    TsMode::Local => srcv as u32,
-                    TsMode::Global => {
-                        let sn = &mut self.nodes[e.src_node.index()];
-                        sn.ts.find_sorted(srcv)? as u32
-                    }
-                };
-                return Some((e.src_node, e.src_stmt, k_src));
-            }
-        }
-        None
-    }
-
-    /// [`Wet::resolve_producer`] for the strict query path over a
-    /// possibly-salvaged container: every unavailable sequence on the
-    /// lookup path surfaces as a typed
-    /// [`crate::query::QueryErr::Corrupt`] instead of a panic (global
-    /// timestamp keys) or a silent "no match" (intra `ks`, label
-    /// pools). Same lookup order and outcomes on fully available data.
-    pub fn try_resolve_producer(
-        &mut self,
-        node: NodeId,
-        dst_stmt: StmtId,
-        slot: u8,
-        k: u32,
-    ) -> Result<Option<(NodeId, StmtId, u32)>, crate::query::QueryErr> {
-        use crate::query::QueryErr;
-        {
-            let n = &mut self.nodes[node.index()];
-            if let Some(ies) = n.intra.get_mut(&(dst_stmt, slot)) {
-                for ie in ies {
-                    if ie.complete {
-                        return Ok(Some((node, ie.src, k)));
-                    }
-                    if let Some(ks) = &mut ie.ks {
-                        if !ks.is_available() {
-                            return Err(QueryErr::Corrupt(format!(
-                                "intra-edge label sequence unavailable in node {}",
-                                node.0
-                            )));
-                        }
-                        if ks.find_sorted(k as u64).is_some() {
-                            return Ok(Some((node, ie.src, k)));
-                        }
-                    }
-                }
-            }
-        }
-        let key = match self.config.ts_mode {
-            TsMode::Local => k as u64,
-            TsMode::Global => {
-                let ts = &mut self.nodes[node.index()].ts;
-                if !ts.is_available() {
-                    return Err(QueryErr::Corrupt(format!(
-                        "timestamp sequence unavailable in node {}",
-                        node.0
-                    )));
-                }
-                ts.get(k as usize)
-            }
-        };
-        let Some(edge_idxs) = self.in_edges.get(&(node, dst_stmt, slot)).cloned() else {
-            return Ok(None);
-        };
-        for ei in edge_idxs {
-            let e = self.edges[ei as usize];
-            let lab = &mut self.labels[e.labels as usize];
-            if !lab.dst.is_available() || !lab.src.is_available() {
-                return Err(QueryErr::Corrupt(format!("edge label pool {} unavailable", e.labels)));
-            }
-            if let Some(p) = lab.dst.find_sorted(key) {
-                let srcv = lab.src.get(p);
-                let k_src = match self.config.ts_mode {
-                    TsMode::Local => srcv as u32,
-                    TsMode::Global => {
-                        let sn = &mut self.nodes[e.src_node.index()];
-                        if !sn.ts.is_available() {
-                            return Err(QueryErr::Corrupt(format!(
-                                "timestamp sequence unavailable in node {}",
-                                e.src_node.0
-                            )));
-                        }
-                        match sn.ts.find_sorted(srcv) {
-                            Some(p) => p as u32,
-                            None => return Ok(None),
-                        }
-                    }
-                };
-                return Ok(Some((e.src_node, e.src_stmt, k_src)));
-            }
-        }
-        Ok(None)
     }
 }

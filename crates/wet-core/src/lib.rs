@@ -54,7 +54,7 @@
 //! wet.compress();
 //!
 //! // The whole control-flow trace is recoverable from the compressed form.
-//! let trace = query::cf_trace_forward(&mut wet).unwrap();
+//! let trace = query::cf_trace_forward(&wet).unwrap();
 //! assert_eq!(trace.len() as u64, wet.stats().paths_executed);
 //! assert!(wet.sizes().ratio() > 1.0);
 //! # Ok(())
@@ -83,7 +83,7 @@ pub use graph::{
     SLOT_CD, SLOT_MEM, SLOT_OP0, SLOT_OP1,
 };
 pub use salvage::{FsckReport, SectionReport, SectionStatus};
-pub use seq::Seq;
+pub use seq::{Cursor, Seq};
 pub use serial::{section_spans, SectionSpan};
 pub use store::{
     resolve_under, sections_for_address_trace, sections_for_op, LazySection, PinGuard, StoreErr, StoreOptions,
@@ -165,7 +165,7 @@ mod tests {
         // Each node's ts stream must equal the recorded path timestamps.
         for pr in &rec.paths {
             let node = wet.node_for_path(pr.func, pr.path_id).expect("node exists");
-            let ts = wet.node_mut(node).ts.to_vec();
+            let ts = wet.node(node).ts.to_vec_snapshot();
             assert!(ts.contains(&pr.ts));
         }
         let total: usize = wet.nodes().iter().map(|n| n.n_execs as usize).sum();
@@ -197,10 +197,10 @@ mod tests {
             if tier2 {
                 wet.compress();
             }
-            let fwd = query::cf_trace_forward(&mut wet).unwrap();
+            let fwd = query::cf_trace_forward(&wet).unwrap();
             let blocks = query::expand_blocks(&wet, &fwd);
             assert_eq!(blocks, rec.block_trace(), "tier2={tier2}");
-            let mut bwd = query::cf_trace_backward(&mut wet).unwrap();
+            let mut bwd = query::cf_trace_backward(&wet).unwrap();
             bwd.reverse();
             assert_eq!(bwd, fwd, "backward trace must mirror forward (tier2={tier2})");
         }
@@ -230,7 +230,7 @@ mod tests {
         let cfg = WetConfig { ts_mode: TsMode::Global, ..Default::default() };
         let (mut wet, rec) = build_wet(&p, &[60], cfg);
         wet.compress();
-        let fwd = query::cf_trace_forward(&mut wet).unwrap();
+        let fwd = query::cf_trace_forward(&wet).unwrap();
         assert_eq!(query::expand_blocks(&wet, &fwd), rec.block_trace());
         for stmt_id in 0..p.stmt_count() as u32 {
             let stmt = wet_ir::StmtId(stmt_id);
@@ -253,7 +253,7 @@ mod tests {
         let p = looping_program();
         let (mut wet, _) = build_wet(&p, &[60], WetConfig::default());
         wet.compress();
-        let strict = query::cf_trace_forward(&mut wet).unwrap();
+        let strict = query::cf_trace_forward(&wet).unwrap();
         let (deg_steps, deg) = query::cf_trace_forward_partial(&wet, &query::Ctl::unbounded()).unwrap();
         assert_eq!(deg_steps, strict);
         assert!(deg.is_complete());
@@ -282,7 +282,7 @@ mod tests {
         let (salvaged, report) = Wet::read_salvaging(&mut m.as_slice()).unwrap();
         assert!(report.seqs_lost > 0);
         let (steps, cf_deg) = query::cf_trace_forward_partial(&salvaged, &query::Ctl::unbounded()).unwrap();
-        assert_eq!(steps, query::cf_trace_forward(&mut wet).unwrap(), "cf trace fully recovered");
+        assert_eq!(steps, query::cf_trace_forward(&wet).unwrap(), "cf trace fully recovered");
         assert!(cf_deg.is_complete());
         let stmt = wet_ir::StmtId(0);
         let (vals_deg, dv) = query::value_trace_partial(&salvaged, stmt, 1, &query::Ctl::unbounded()).unwrap();
@@ -308,14 +308,14 @@ mod tests {
     fn degraded_cf_trace_resyncs_across_one_lost_node() {
         let p = looping_program();
         let (mut wet, _) = build_wet(&p, &[60], WetConfig::default());
-        let strict = query::cf_trace_forward(&mut wet).unwrap();
+        let strict = query::cf_trace_forward(&wet).unwrap();
         // Knock out a single node's timestamp stream in place —
         // finer-grained loss than section salvage produces, to prove
         // the resync logic recovers everything else.
         let lost = NodeId(1);
         let lost_execs = wet.node(lost).n_execs as u64;
         assert!(lost_execs > 0, "test node must execute");
-        wet.node_mut(lost).ts = Seq::Unavailable(lost_execs);
+        wet.nodes[lost.index()].ts = Seq::Unavailable(lost_execs);
         let (steps, deg) = query::cf_trace_forward_partial(&wet, &query::Ctl::unbounded()).unwrap();
         assert_eq!(deg.nodes_skipped, 1);
         assert_eq!(deg.steps_missing, lost_execs);
@@ -335,9 +335,9 @@ mod tests {
             let e = wet.edges()[0];
             query::WetSliceElem { node: e.dst_node, stmt: e.dst_stmt, k: 0 }
         };
-        let strict = query::backward_slice(&mut wet, &p, criterion, Default::default()).unwrap();
+        let strict = query::backward_slice(&wet, &p, criterion, Default::default()).unwrap();
         let ctl = query::Ctl::unbounded();
-        let (same, deg) = query::backward_slice_partial(&mut wet, &p, criterion, Default::default(), &ctl).unwrap();
+        let (same, deg) = query::backward_slice_partial(&wet, &p, criterion, Default::default(), &ctl).unwrap();
         assert_eq!(same.stamped, strict.stamped);
         assert!(deg.is_complete());
         // Lose every edge label: the slice shrinks, the report says so.
@@ -347,11 +347,26 @@ mod tests {
         let edgl = spans.iter().find(|s| s.tag == serial::TAG_EDGL).unwrap();
         let mut m = bytes.clone();
         m[edgl.payload_start] ^= 0x01;
-        let (mut salvaged, _) = Wet::read_salvaging(&mut m.as_slice()).unwrap();
+        let (salvaged, _) = Wet::read_salvaging(&mut m.as_slice()).unwrap();
         let (partial, deg2) =
-            query::backward_slice_partial(&mut salvaged, &p, criterion, Default::default(), &ctl).unwrap();
+            query::backward_slice_partial(&salvaged, &p, criterion, Default::default(), &ctl).unwrap();
         assert!(partial.stamped.len() <= strict.stamped.len());
         assert!(deg2.seqs_unavailable > 0);
+        // Lose only the def side of the edge's label pool, and let the
+        // loss arrive through a file: the partial slice counts it where
+        // the lookup needs it, the strict slice reports corruption.
+        let e = wet.edges()[0];
+        let mut lost_src = wet.clone();
+        let lab = &mut lost_src.labels[e.labels as usize];
+        let at = query::WetSliceElem { node: e.dst_node, stmt: e.dst_stmt, k: lab.dst.to_vec_snapshot()[0] as u32 };
+        lab.src = Seq::Unavailable(u64::from(lab.len));
+        let mut file = Vec::new();
+        lost_src.write_to(&mut file).unwrap();
+        let from_file = Wet::read_from(&mut file.as_slice()).unwrap();
+        let (_, deg3) = query::backward_slice_partial(&from_file, &p, at, Default::default(), &ctl).unwrap();
+        assert!(deg3.seqs_unavailable > 0);
+        let strict3 = query::backward_slice(&from_file, &p, at, Default::default());
+        assert!(matches!(strict3, Err(query::QueryErr::Corrupt(_))), "{strict3:?}");
     }
 
     #[test]
@@ -380,8 +395,8 @@ mod tests {
         // Queries stay correct without the optimizations.
         on.compress();
         off.compress();
-        let a = query::cf_trace_forward(&mut on).unwrap();
-        let b = query::cf_trace_forward(&mut off).unwrap();
+        let a = query::cf_trace_forward(&on).unwrap();
+        let b = query::cf_trace_forward(&off).unwrap();
         assert_eq!(a.len(), b.len());
     }
 }

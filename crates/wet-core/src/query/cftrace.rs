@@ -5,9 +5,10 @@
 //! The trace is recovered by combining the unlabeled static CF edges
 //! with the timestamp sequences: from the node execution at time `t`,
 //! the successor is the unique CF-successor node whose timestamp stream
-//! contains `t + 1`. Per-node stream cursors advance monotonically, so
-//! a full extraction costs time linear in the trace in either
-//! direction — the property Table 6 measures.
+//! contains `t + 1`. The query's [`Cursor`] keeps one window per node
+//! stream, and each advances monotonically, so a full extraction costs
+//! time linear in the trace in either direction — the property Table 6
+//! measures.
 //!
 //! Every extraction loop here is a cooperative cancel point (see
 //! [`crate::query::ctl`]): the `*_ctl` entry points honor deadlines and
@@ -17,6 +18,7 @@
 use crate::graph::{NodeId, Wet};
 use crate::query::ctl::{Ctl, QueryErr};
 use crate::query::Degraded;
+use crate::seq::Cursor;
 use wet_ir::{BlockId, FuncId};
 
 /// One step of the node-level control-flow trace.
@@ -31,45 +33,51 @@ pub struct CfStep {
 }
 
 /// Extracts the full control-flow trace front to back.
-pub fn cf_trace_forward(wet: &mut Wet) -> Result<Vec<CfStep>, QueryErr> {
+pub fn cf_trace_forward(wet: &Wet) -> Result<Vec<CfStep>, QueryErr> {
     cf_trace_forward_ctl(wet, &Ctl::unbounded())
 }
 
 /// [`cf_trace_forward`] with cooperative cancellation: checks `ctl`
 /// once per [`crate::query::CHECK_INTERVAL`] steps.
-pub fn cf_trace_forward_ctl(wet: &mut Wet, ctl: &Ctl) -> Result<Vec<CfStep>, QueryErr> {
+pub fn cf_trace_forward_ctl(wet: &Wet, ctl: &Ctl) -> Result<Vec<CfStep>, QueryErr> {
     let _span = wet_obs::span!("query.cf_trace_forward");
     cf_trace_whole(wet, true, ctl)
 }
 
 /// Extracts the full control-flow trace back to front. The returned
 /// steps are in reverse execution order (last first).
-pub fn cf_trace_backward(wet: &mut Wet) -> Result<Vec<CfStep>, QueryErr> {
+pub fn cf_trace_backward(wet: &Wet) -> Result<Vec<CfStep>, QueryErr> {
     cf_trace_backward_ctl(wet, &Ctl::unbounded())
 }
 
 /// [`cf_trace_backward`] with cooperative cancellation.
-pub fn cf_trace_backward_ctl(wet: &mut Wet, ctl: &Ctl) -> Result<Vec<CfStep>, QueryErr> {
+pub fn cf_trace_backward_ctl(wet: &Wet, ctl: &Ctl) -> Result<Vec<CfStep>, QueryErr> {
     let _span = wet_obs::span!("query.cf_trace_backward");
     cf_trace_whole(wet, false, ctl)
 }
 
 /// The whole trace from the first (or last) execution.
-fn cf_trace_whole(wet: &mut Wet, forward: bool, ctl: &Ctl) -> Result<Vec<CfStep>, QueryErr> {
+fn cf_trace_whole(wet: &Wet, forward: bool, ctl: &Ctl) -> Result<Vec<CfStep>, QueryErr> {
     let (end, (node, ts)) = if forward { ("first", wet.first()) } else { ("last", wet.last()) };
-    let k = wet
-        .node_mut(node)
-        .ts
-        .find_sorted(ts)
+    let mut cur = Cursor::new(wet);
+    let k = cur
+        .find_sorted(&wet.node(node).ts, ts)
         .ok_or_else(|| QueryErr::Corrupt(format!("{end} node does not hold ts {ts}")))?;
-    cf_walk(wet, CfStep { node, k: k as u32, ts }, forward, usize::MAX, ctl)
+    cf_walk(&mut cur, CfStep { node, k: k as u32, ts }, forward, usize::MAX, ctl)
 }
 
 /// Walks up to `count` steps (at least `start` itself) from `start`
 /// towards the end of the execution in the given direction, recording
 /// the `engine.cf_trace` phase and the `cf.steps` note on `ctl`.
-fn cf_walk(wet: &mut Wet, start: CfStep, forward: bool, count: usize, ctl: &Ctl) -> Result<Vec<CfStep>, QueryErr> {
+fn cf_walk(
+    cur: &mut Cursor<'_>,
+    start: CfStep,
+    forward: bool,
+    count: usize,
+    ctl: &Ctl,
+) -> Result<Vec<CfStep>, QueryErr> {
     let _p = ctl.phase("engine.cf_trace");
+    let wet = cur.wet();
     let (_, first_ts) = wet.first();
     let (_, last_ts) = wet.last();
     let span = if forward { last_ts.saturating_sub(start.ts) } else { start.ts.saturating_sub(first_ts) };
@@ -78,7 +86,7 @@ fn cf_walk(wet: &mut Wet, start: CfStep, forward: bool, count: usize, ctl: &Ctl)
     let mut at = start;
     while steps.len() < count && if forward { at.ts < last_ts } else { at.ts > first_ts } {
         ctl.check_every(steps.len())?;
-        at = cf_step(wet, at, forward)?;
+        at = cf_step(cur, at, forward)?;
         steps.push(at);
     }
     ctl.note("cf.steps", steps.len() as u64);
@@ -87,25 +95,18 @@ fn cf_walk(wet: &mut Wet, start: CfStep, forward: bool, count: usize, ctl: &Ctl)
 
 /// The execution adjacent to `from`: the CF successor (or predecessor)
 /// node whose timestamp stream holds `from.ts ± 1`.
-fn cf_step(wet: &mut Wet, from: CfStep, forward: bool) -> Result<CfStep, QueryErr> {
+fn cf_step(cur: &mut Cursor<'_>, from: CfStep, forward: bool) -> Result<CfStep, QueryErr> {
     let ts = if forward { from.ts + 1 } else { from.ts - 1 };
-    fn neighbours(wet: &Wet, node: NodeId, forward: bool) -> &[NodeId] {
-        let n = wet.node(node);
-        if forward {
-            &n.cf_succs
-        } else {
-            &n.cf_preds
-        }
-    }
-    for i in 0..neighbours(wet, from.node, forward).len() {
-        let nb = neighbours(wet, from.node, forward)[i];
+    let wet = cur.wet();
+    let n = wet.node(from.node);
+    for &nb in if forward { &n.cf_succs } else { &n.cf_preds } {
         // Range skip: a neighbour whose timestamp interval excludes the
         // target needs no stream probe at all.
         let n = wet.node(nb);
         if ts < n.ts_first || ts > n.ts_last {
             continue;
         }
-        if let Some(k) = wet.node_mut(nb).ts.find_sorted(ts) {
+        if let Some(k) = cur.find_sorted(&n.ts, ts) {
             return Ok(CfStep { node: nb, k: k as u32, ts });
         }
     }
@@ -175,20 +176,13 @@ pub fn cf_trace_forward_partial(wet: &Wet, ctl: &Ctl) -> Result<(Vec<CfStep>, De
 
 /// Locates the node execution holding timestamp `ts` by checking node
 /// timestamp ranges and probing candidates' streams.
-pub fn locate_ts(wet: &mut Wet, ts: u64) -> Option<CfStep> {
-    let candidates: Vec<NodeId> = wet
-        .nodes()
+pub fn locate_ts(wet: &Wet, ts: u64) -> Option<CfStep> {
+    let mut cur = Cursor::new(wet);
+    wet.nodes()
         .iter()
         .enumerate()
         .filter(|(_, n)| n.n_execs > 0 && n.ts_first <= ts && ts <= n.ts_last)
-        .map(|(i, _)| NodeId(i as u32))
-        .collect();
-    for c in candidates {
-        if let Some(k) = wet.node_mut(c).ts.find_sorted(ts) {
-            return Some(CfStep { node: c, k: k as u32, ts });
-        }
-    }
-    None
+        .find_map(|(i, n)| Some(CfStep { node: NodeId(i as u32), k: cur.find_sorted(&n.ts, ts)? as u32, ts }))
 }
 
 /// Extracts up to `count` trace steps starting *at any execution
@@ -198,9 +192,9 @@ pub fn locate_ts(wet: &mut Wet, ts: u64) -> Option<CfStep> {
 /// itself is included.
 ///
 /// Returns an empty vector when `ts` is outside the execution.
-pub fn cf_trace_from(wet: &mut Wet, ts: u64, count: usize, forward: bool) -> Result<Vec<CfStep>, QueryErr> {
+pub fn cf_trace_from(wet: &Wet, ts: u64, count: usize, forward: bool) -> Result<Vec<CfStep>, QueryErr> {
     let Some(start) = locate_ts(wet, ts) else { return Ok(Vec::new()) };
-    cf_walk(wet, start, forward, count, &Ctl::unbounded())
+    cf_walk(&mut Cursor::new(wet), start, forward, count, &Ctl::unbounded())
 }
 
 /// Expands a node-level trace into the basic-block trace.

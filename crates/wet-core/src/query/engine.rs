@@ -3,14 +3,14 @@
 //! The per-instruction trace queries (paper §5.2, Tables 7–8) fan out
 //! naturally: every `(statement, node)` pair contributes an
 //! independent slice of the trace, backed by streams that decompress
-//! without reference to any other stream. The cursor-based query path
-//! ([`crate::Wet::resolve_producer`], [`crate::seq::Seq::get`]) takes
-//! `&mut Wet`, which serializes everything; this module instead reads
-//! through **snapshots** ([`crate::seq::Seq::try_to_vec_snapshot`]
-//! clones a stream and decompresses the clone), so any number of
-//! workers can extract from one `&Wet` concurrently.
+//! without reference to any other stream. The CF walks and slices read
+//! element by element through a per-query [`crate::Cursor`]; this
+//! module instead decodes whole streams through **snapshots**
+//! ([`crate::seq::Seq::try_to_vec_snapshot`] clones a stream and
+//! decompresses the clone), so any number of workers can extract from
+//! one `&Wet` concurrently.
 //!
-//! Every lookup here replicates the cursor path's semantics exactly —
+//! Every lookup here replicates the slice resolver's semantics exactly —
 //! same intra-edge preference order, same incoming-edge order, same
 //! sorted-search outcomes (all searched sequences are strictly
 //! sorted) — so for any thread count the extracted traces are
@@ -342,8 +342,8 @@ fn values_in_node_snapshot(wet: &Wet, node: NodeId, stmt: StmtId) -> Result<Vec<
     }
 }
 
-/// Read-only [`Wet::resolve_producer`]: identical lookup order and
-/// outcomes, but through snapshot/binary searches on cached
+/// The slice resolver's producer lookup with identical lookup order
+/// and outcomes, but through snapshot/binary searches on cached
 /// decompressions instead of cursor walks. (All searched sequences —
 /// intra `ks`, label `dst`, node `ts` — are strictly increasing, so a
 /// binary search finds exactly the position the cursor walk finds.)

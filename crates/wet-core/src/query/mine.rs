@@ -63,7 +63,7 @@ pub struct ValueLocality {
 /// Computes value locality for a statement, or `None` if it has no
 /// def port, never executed, or its value streams were lost to salvage
 /// (use [`crate::query::value_trace_partial`] to distinguish).
-pub fn value_locality(wet: &mut Wet, stmt: StmtId) -> Option<ValueLocality> {
+pub fn value_locality(wet: &Wet, stmt: StmtId) -> Option<ValueLocality> {
     let trace = value_trace(wet, stmt, wet.config().stream.num_threads).ok()?;
     if trace.is_empty() {
         return None;
@@ -96,7 +96,7 @@ pub fn value_locality(wet: &mut Wet, stmt: StmtId) -> Option<ValueLocality> {
 ///
 /// Statements with fewer than `min_execs` executions — or whose value
 /// streams were lost to salvage — are ignored.
-pub fn isomorphic_statements(wet: &mut Wet, stmts: &[StmtId], min_execs: usize) -> Vec<Vec<StmtId>> {
+pub fn isomorphic_statements(wet: &Wet, stmts: &[StmtId], min_execs: usize) -> Vec<Vec<StmtId>> {
     let mut by_hash: HashMap<u64, Vec<(StmtId, Vec<i64>)>> = HashMap::new();
     for &s in stmts {
         let Ok(trace) = value_trace(wet, s, wet.config().stream.num_threads) else { continue };
@@ -183,24 +183,24 @@ mod tests {
 
     #[test]
     fn value_locality_detects_increment() {
-        let (p, mut wet) = sample();
+        let (p, wet) = sample();
         // Statement 0 is `i = 0` (constant); i's increment is inside
         // the loop. Check a def statement with all-distinct values.
         let add_x = wet_ir::StmtId(4); // x = i + i
-        let loc = value_locality(&mut wet, add_x).expect("has values");
+        let loc = value_locality(&wet, add_x).expect("has values");
         assert_eq!(loc.execs, 30);
         assert_eq!(loc.distinct, 30, "x takes 30 distinct values");
         assert!(loc.last_value_rate < 0.05);
         // A never-executed or defless statement yields None.
         let store_like = p.function(p.main()).block(wet_ir::BlockId(0)).term().id;
-        assert!(value_locality(&mut wet, store_like).is_none());
+        assert!(value_locality(&wet, store_like).is_none());
     }
 
     #[test]
     fn isomorphism_finds_equal_sequences() {
-        let (p, mut wet) = sample();
+        let (p, wet) = sample();
         let all: Vec<StmtId> = (0..p.stmt_count() as u32).map(StmtId).collect();
-        let groups = isomorphic_statements(&mut wet, &all, 5);
+        let groups = isomorphic_statements(&wet, &all, 5);
         // x = i + i and y = i * 2 are isomorphic.
         assert!(
             groups.iter().any(|g| g.contains(&StmtId(4)) && g.contains(&StmtId(5))),

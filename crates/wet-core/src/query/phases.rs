@@ -66,10 +66,7 @@ impl IntervalVector {
 /// the (compressed) control-flow trace. A trailing partial interval is
 /// dropped (as in SimPoint) unless it is the only one, so a tiny
 /// tail cannot masquerade as a phase of its own.
-pub fn interval_vectors(
-    wet: &mut Wet,
-    interval_len: usize,
-) -> Result<Vec<IntervalVector>, crate::query::QueryErr> {
+pub fn interval_vectors(wet: &Wet, interval_len: usize) -> Result<Vec<IntervalVector>, crate::query::QueryErr> {
     assert!(interval_len > 0, "interval length must be positive");
     let steps = cf_trace_forward(wet)?;
     let full = steps.len() / interval_len * interval_len;
@@ -220,8 +217,8 @@ mod tests {
 
     #[test]
     fn interval_vectors_cover_the_run() {
-        let mut wet = build();
-        let vecs = interval_vectors(&mut wet, 50).unwrap();
+        let wet = build();
+        let vecs = interval_vectors(&wet, 50).unwrap();
         let total: u32 = vecs.iter().map(|v| v.total).sum();
         // The trailing partial interval is dropped, so coverage is the
         // largest multiple of the interval length.
@@ -233,15 +230,15 @@ mod tests {
             assert_eq!(v.total, 50);
         }
         // A single short run keeps its only (partial) interval.
-        let vecs = interval_vectors(&mut wet, 1_000_000).unwrap();
+        let vecs = interval_vectors(&wet, 1_000_000).unwrap();
         assert_eq!(vecs.len(), 1);
         assert_eq!(vecs[0].total as u64, wet.stats().paths_executed);
     }
 
     #[test]
     fn two_phases_are_separated() {
-        let mut wet = build();
-        let vecs = interval_vectors(&mut wet, 50).unwrap();
+        let wet = build();
+        let vecs = interval_vectors(&wet, 50).unwrap();
         let phases = cluster_phases(&vecs, 2);
         assert_eq!(phases.assignment.len(), vecs.len());
         // The first interval and the last interval must land in

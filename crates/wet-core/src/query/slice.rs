@@ -4,11 +4,13 @@
 //! WET reachable backward over data and control dependence edges — the
 //! complete profile history that led to the value. A forward slice
 //! follows the edges the other way. Both traversals run directly on
-//! the (tier-1 or tier-2) compressed representation.
+//! the (tier-1 or tier-2) compressed representation, through one
+//! [`Cursor`] per query.
 
-use crate::graph::{NodeId, Wet, SLOT_CD, SLOT_MEM, SLOT_OP0, SLOT_OP1};
+use crate::graph::{NodeId, TsMode, Wet, SLOT_CD, SLOT_MEM, SLOT_OP0, SLOT_OP1};
 use crate::query::ctl::{Ctl, QueryErr};
 use crate::query::Degraded;
+use crate::seq::Cursor;
 use std::collections::{BTreeSet, HashSet};
 use wet_ir::{Program, StmtId};
 
@@ -80,7 +82,7 @@ fn cd_anchor(wet: &Wet, program: &Program, node: NodeId, stmt: StmtId) -> Option
 /// # Panics
 /// Panics if the criterion statement is not part of the criterion node.
 pub fn backward_slice(
-    wet: &mut Wet,
+    wet: &Wet,
     program: &Program,
     criterion: WetSliceElem,
     spec: SliceSpec,
@@ -91,7 +93,7 @@ pub fn backward_slice(
 /// [`backward_slice`] with cooperative cancellation (one check per
 /// visited instance).
 pub fn backward_slice_ctl(
-    wet: &mut Wet,
+    wet: &Wet,
     program: &Program,
     criterion: WetSliceElem,
     spec: SliceSpec,
@@ -117,7 +119,7 @@ pub fn backward_slice_ctl(
 /// match the strict slice exactly. Slices take no budget: truncating a
 /// dependence chain would change what the slice means.
 pub fn backward_slice_partial(
-    wet: &mut Wet,
+    wet: &Wet,
     program: &Program,
     criterion: WetSliceElem,
     spec: SliceSpec,
@@ -136,7 +138,7 @@ pub fn backward_slice_partial(
 /// report (`deg`), lost sequences are counted; without one, they are
 /// [`QueryErr::Corrupt`].
 fn backward_walk(
-    wet: &mut Wet,
+    wet: &Wet,
     program: &Program,
     criterion: WetSliceElem,
     spec: SliceSpec,
@@ -144,6 +146,7 @@ fn backward_walk(
     mut deg: Option<&mut Degraded>,
 ) -> Result<WetSlice, QueryErr> {
     let _p = ctl.phase("engine.backward_slice");
+    let mut cur = Cursor::new(wet);
     let mut visited: HashSet<WetSliceElem> = HashSet::new();
     let mut stamped = BTreeSet::new();
     let mut work = vec![criterion];
@@ -152,13 +155,11 @@ fn backward_walk(
             continue;
         }
         ctl.check_every(visited.len())?;
-        if wet.node(e.node).ts.is_available() {
-            let ts = wet.node_mut(e.node).ts_at(e.k as usize);
-            stamped.insert((e.stmt, ts));
-        } else if let Some(d) = deg.as_deref_mut() {
-            d.seqs_unavailable += 1;
+        let ts = &wet.node(e.node).ts;
+        if ts.is_available() {
+            stamped.insert((e.stmt, cur.get(ts, e.k as usize)));
         } else {
-            return Err(QueryErr::Corrupt(format!("timestamp sequence unavailable in node {}", e.node.0)));
+            lost(deg.as_deref_mut(), ts_lost(e.node))?;
         }
         let data = [SLOT_OP0, SLOT_OP1, SLOT_MEM].map(|slot| spec.data.then_some((e.stmt, slot)));
         let control = spec
@@ -166,11 +167,7 @@ fn backward_walk(
             .then(|| cd_anchor(wet, program, e.node, e.stmt).map(|anchor| (anchor, SLOT_CD)))
             .flatten();
         for (stmt, slot) in data.into_iter().chain([control]).flatten() {
-            let producer = match deg.as_deref_mut() {
-                Some(d) => resolve_producer_degraded(wet, d, e.node, stmt, slot, e.k),
-                None => wet.try_resolve_producer(e.node, stmt, slot, e.k)?,
-            };
-            if let Some((pn, ps, pk)) = producer {
+            if let Some((pn, ps, pk)) = resolve_producer(&mut cur, e.node, stmt, slot, e.k, deg.as_deref_mut())? {
                 work.push(WetSliceElem { node: pn, stmt: ps, k: pk });
             }
         }
@@ -179,33 +176,104 @@ fn backward_walk(
     Ok(WetSlice { elems: visited.into_iter().collect(), stamped })
 }
 
-/// [`Wet::resolve_producer`] with the unavailable sequences on the
-/// lookup path counted instead of silently treated as "no match", and
-/// with the global-timestamp key guarded (the cursor path would panic
-/// reading a lost stream).
-fn resolve_producer_degraded(
-    wet: &mut Wet,
-    deg: &mut Degraded,
+/// A lost sequence on a slice's path: counted on a partial slice's
+/// report, [`QueryErr::Corrupt`] for a strict one.
+fn lost(deg: Option<&mut Degraded>, what: String) -> Result<(), QueryErr> {
+    match deg {
+        Some(d) => {
+            d.seqs_unavailable += 1;
+            Ok(())
+        }
+        None => Err(QueryErr::Corrupt(what)),
+    }
+}
+
+fn ts_lost(node: NodeId) -> String {
+    format!("timestamp sequence unavailable in node {}", node.0)
+}
+
+/// Resolves the producer of dependence slot `slot` of `dst_stmt` at
+/// execution `k` of `node`: first by intra-node inference, then by
+/// searching the labeled incoming edges. Returns the producing
+/// `(node, stmt, execution)` triple.
+///
+/// Every unavailable sequence on the lookup path is [`lost`]. A partial
+/// lookup counts the lost intra-edge coverage sets and label pools up
+/// front — each is a producer edge the slice may be missing — and then
+/// searches the ones that survive.
+fn resolve_producer(
+    cur: &mut Cursor<'_>,
     node: NodeId,
     dst_stmt: StmtId,
     slot: u8,
     k: u32,
-) -> Option<(NodeId, StmtId, u32)> {
-    if let Some(ies) = wet.node(node).intra.get(&(dst_stmt, slot)) {
-        deg.seqs_unavailable +=
-            ies.iter().filter(|ie| ie.ks.as_ref().is_some_and(|ks| !ks.is_available())).count() as u64;
+    mut deg: Option<&mut Degraded>,
+) -> Result<Option<(NodeId, StmtId, u32)>, QueryErr> {
+    let wet = cur.wet();
+    let ies = wet.node(node).intra.get(&(dst_stmt, slot)).map_or(&[][..], Vec::as_slice);
+    let edges = wet.in_edges(node, dst_stmt, slot);
+    let pool_available = |ei: u32| {
+        let lab = &wet.labels()[wet.edges()[ei as usize].labels as usize];
+        lab.dst.is_available() && lab.src.is_available()
+    };
+    if let Some(d) = deg.as_deref_mut() {
+        let lost_ks = ies.iter().filter(|ie| ie.ks.as_ref().is_some_and(|ks| !ks.is_available())).count();
+        let lost_pools = edges.iter().filter(|&&ei| !pool_available(ei)).count();
+        d.seqs_unavailable += (lost_ks + lost_pools) as u64;
     }
-    for &ei in wet.in_edges(node, dst_stmt, slot) {
-        let e = wet.edges()[ei as usize];
-        if !wet.labels()[e.labels as usize].dst.is_available() {
-            deg.seqs_unavailable += 1;
+    let strict = deg.is_none();
+    for ie in ies {
+        if ie.complete {
+            return Ok(Some((node, ie.src, k)));
+        }
+        let Some(ks) = &ie.ks else { continue };
+        if !ks.is_available() {
+            if strict {
+                return Err(QueryErr::Corrupt(format!("intra-edge label sequence unavailable in node {}", node.0)));
+            }
+        } else if cur.find_sorted(ks, k as u64).is_some() {
+            return Ok(Some((node, ie.src, k)));
         }
     }
-    if matches!(wet.config().ts_mode, crate::graph::TsMode::Global) && !wet.node(node).ts.is_available() {
-        deg.seqs_unavailable += 1;
-        return None;
+    let key = match wet.config().ts_mode {
+        TsMode::Local => k as u64,
+        TsMode::Global => {
+            let ts = &wet.node(node).ts;
+            if !ts.is_available() {
+                lost(deg, ts_lost(node))?;
+                return Ok(None);
+            }
+            cur.get(ts, k as usize)
+        }
+    };
+    for &ei in edges {
+        let e = wet.edges()[ei as usize];
+        if !pool_available(ei) {
+            if strict {
+                return Err(QueryErr::Corrupt(format!("edge label pool {} unavailable", e.labels)));
+            }
+            continue;
+        }
+        let lab = &wet.labels()[e.labels as usize];
+        let Some(p) = cur.find_sorted(&lab.dst, key) else { continue };
+        let srcv = cur.get(&lab.src, p);
+        let k_src = match wet.config().ts_mode {
+            TsMode::Local => srcv as u32,
+            TsMode::Global => {
+                let ts = &wet.node(e.src_node).ts;
+                if !ts.is_available() {
+                    lost(deg, ts_lost(e.src_node))?;
+                    return Ok(None);
+                }
+                match cur.find_sorted(ts, srcv) {
+                    Some(p) => p as u32,
+                    None => return Ok(None),
+                }
+            }
+        };
+        return Ok(Some((e.src_node, e.src_stmt, k_src)));
     }
-    wet.resolve_producer(node, dst_stmt, slot, k)
+    Ok(None)
 }
 
 /// Computes the forward WET slice from `criterion`: every instance
@@ -217,12 +285,13 @@ fn resolve_producer_degraded(
 /// instance, and expands control dependences to every statement of the
 /// dependent block, mirroring the dynamic CD semantics.
 pub fn forward_slice(
-    wet: &mut Wet,
+    wet: &Wet,
     program: &Program,
     criterion: WetSliceElem,
     spec: SliceSpec,
 ) -> Result<WetSlice, QueryErr> {
     let _span = wet_obs::span!("query.forward_slice");
+    let mut cur = Cursor::new(wet);
     let mut visited: HashSet<WetSliceElem> = HashSet::new();
     let mut stamped = BTreeSet::new();
     let mut work = vec![criterion];
@@ -230,82 +299,58 @@ pub fn forward_slice(
         if !visited.insert(e) {
             continue;
         }
-        if !wet.node(e.node).ts.is_available() {
-            return Err(QueryErr::Corrupt(format!(
-                "timestamp sequence unavailable in node {}",
-                e.node.0
-            )));
+        let node_ts = &wet.node(e.node).ts;
+        if !node_ts.is_available() {
+            return Err(QueryErr::Corrupt(ts_lost(e.node)));
         }
-        let ts = wet.node_mut(e.node).ts_at(e.k as usize);
+        let ts = cur.get(node_ts, e.k as usize);
         stamped.insert((e.stmt, ts));
 
         // Intra-node consumers.
         let node = e.node;
-        let intra_hits: Vec<(StmtId, u8)> = {
-            let keys: Vec<(StmtId, u8)> = wet.node(node).intra.keys().copied().collect();
-            let mut hits = Vec::new();
-            for key in keys {
-                let n = wet.node_mut(node);
-                let Some(ies) = n.intra.get_mut(&key) else { continue };
-                for ie in ies {
-                    if ie.src != e.stmt {
-                        continue;
-                    }
-                    if ie.ks.as_ref().is_some_and(|ks| !ks.is_available()) {
+        for (&(dst_stmt, slot), ies) in &wet.node(node).intra {
+            for ie in ies.iter().filter(|ie| ie.src == e.stmt) {
+                let covered = match &ie.ks {
+                    Some(ks) if !ks.is_available() => {
                         return Err(QueryErr::Corrupt(format!(
                             "intra-edge label sequence unavailable in node {}",
                             node.0
                         )));
                     }
-                    let covered = if ie.complete {
-                        true
-                    } else {
-                        ie.ks.as_mut().map(|ks| ks.find_sorted(e.k as u64).is_some()).unwrap_or(false)
-                    };
-                    if covered {
-                        hits.push(key);
-                    }
+                    _ if ie.complete => true,
+                    Some(ks) => cur.find_sorted(ks, e.k as u64).is_some(),
+                    None => false,
+                };
+                if covered {
+                    push_consumers(wet, program, node, dst_stmt, slot, e.k, spec, &mut work);
                 }
             }
-            hits
-        };
-        for (dst_stmt, slot) in intra_hits {
-            push_consumers(wet, program, node, dst_stmt, slot, e.k, spec, &mut work);
         }
 
         // Non-local consumers: scan outgoing edges for the source key.
         let key = match wet.config().ts_mode {
-            crate::graph::TsMode::Local => e.k as u64,
-            crate::graph::TsMode::Global => ts,
+            TsMode::Local => e.k as u64,
+            TsMode::Global => ts,
         };
-        let out: Vec<u32> = wet.out_edges(e.node, e.stmt).to_vec();
-        for ei in out {
+        for &ei in wet.out_edges(e.node, e.stmt) {
             let edge = wet.edges()[ei as usize];
-            {
-                let lab = &wet.labels()[edge.labels as usize];
-                if !lab.dst.is_available() || !lab.src.is_available() {
-                    return Err(QueryErr::Corrupt(format!("edge label pool {} unavailable", edge.labels)));
-                }
+            let lab = &wet.labels()[edge.labels as usize];
+            if !lab.dst.is_available() || !lab.src.is_available() {
+                return Err(QueryErr::Corrupt(format!("edge label pool {} unavailable", edge.labels)));
             }
-            let len = wet.labels()[edge.labels as usize].len as usize;
-            for p in 0..len {
-                let (dv, sv) = {
-                    let lab = &mut wet.labels[edge.labels as usize];
-                    (lab.dst.get(p), lab.src.get(p))
-                };
+            for p in 0..lab.len as usize {
+                let (dv, sv) = (cur.get(&lab.dst, p), cur.get(&lab.src, p));
                 if sv != key {
                     continue;
                 }
                 let k_dst = match wet.config().ts_mode {
-                    crate::graph::TsMode::Local => dv as u32,
-                    crate::graph::TsMode::Global => {
-                        if !wet.node(edge.dst_node).ts.is_available() {
-                            return Err(QueryErr::Corrupt(format!(
-                                "timestamp sequence unavailable in node {}",
-                                edge.dst_node.0
-                            )));
+                    TsMode::Local => dv as u32,
+                    TsMode::Global => {
+                        let dst_ts = &wet.node(edge.dst_node).ts;
+                        if !dst_ts.is_available() {
+                            return Err(QueryErr::Corrupt(ts_lost(edge.dst_node)));
                         }
-                        match wet.node_mut(edge.dst_node).ts.find_sorted(dv) {
+                        match cur.find_sorted(dst_ts, dv) {
                             Some(k) => k as u32,
                             None => continue,
                         }

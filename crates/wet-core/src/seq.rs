@@ -9,6 +9,10 @@
 //! paper reports response times "after tier-1 compression and after
 //! tier-2 compression".
 
+use crate::graph::{NodeId, Wet};
+use std::collections::HashMap;
+use std::hash::{BuildHasherDefault, Hasher};
+use wet_ir::StmtId;
 use wet_stream::{CompressedStream, StreamConfig};
 
 /// A sequence of `u64` labels in raw (tier-1) or compressed (tier-2)
@@ -47,38 +51,10 @@ impl Seq {
         !matches!(self, Seq::Unavailable(_))
     }
 
-    /// Reads index `i`. Takes `&mut self` because tier-2 reads move the
-    /// stream cursor.
-    ///
-    /// # Panics
-    /// Panics if `i` is out of bounds or the sequence is
-    /// [`Unavailable`](Seq::Unavailable) (degraded query paths check
-    /// [`is_available`](Seq::is_available) first).
-    pub fn get(&mut self, i: usize) -> u64 {
-        match self {
-            Seq::Raw(v) => v[i],
-            Seq::Compressed(s) => s.get(i),
-            Seq::Unavailable(_) => panic!("read from unavailable (salvage-lost) sequence"),
-        }
-    }
-
-    /// Decompresses (or clones) the full sequence.
-    ///
-    /// # Panics
-    /// Panics on an [`Unavailable`](Seq::Unavailable) sequence.
-    pub fn to_vec(&mut self) -> Vec<u64> {
-        match self {
-            Seq::Raw(v) => v.clone(),
-            Seq::Compressed(s) => s.decompress(),
-            Seq::Unavailable(_) => panic!("read from unavailable (salvage-lost) sequence"),
-        }
-    }
-
-    /// Decompresses the full sequence **without** moving the cursor:
-    /// tier-2 streams are cloned first and the clone is consumed. This
-    /// is what lets the whole-trace query engine extract from a shared
-    /// `&Wet` on many threads at once — every worker snapshots the
-    /// streams it needs instead of fighting over one cursor.
+    /// Decompresses the full sequence: tier-2 streams are cloned first
+    /// and the clone is consumed, so the stored stream never moves.
+    /// This is what lets the whole-trace query engine extract from a
+    /// shared `&Wet` on many threads at once.
     ///
     /// # Panics
     /// Panics on an [`Unavailable`](Seq::Unavailable) sequence.
@@ -94,8 +70,7 @@ impl Seq {
     /// `None` when the sequence is unavailable or its compressed form
     /// is internally inconsistent (claimed length exceeds stored
     /// entries). Never panics and never allocates beyond the data
-    /// actually present. The cursor is untouched (tier-2 work happens
-    /// on a clone).
+    /// actually present. Tier-2 work happens on a clone.
     pub fn try_to_vec_snapshot(&self) -> Option<Vec<u64>> {
         match self {
             Seq::Raw(v) => Some(v.clone()),
@@ -123,20 +98,90 @@ impl Seq {
             Seq::Unavailable(_) => 0,
         }
     }
+}
+
+/// One query's read position over the sequences of a shared [`Wet`].
+///
+/// A tier-2 [`CompressedStream`] is read through its §4 window, which
+/// moves with every read; where that window sits belongs to one
+/// traversal, not to the data. So the stored streams of a `Wet` never
+/// move: the first time a cursor reads a compressed sequence it clones
+/// the stream and walks its own copy from then on. Nearby reads stay
+/// cheap in either direction, any number of queries read one `&Wet`
+/// at once, and the bytes [`Wet::write_to`] writes do not depend on
+/// which queries ran. Raw sequences are read in place.
+pub struct Cursor<'w> {
+    wet: &'w Wet,
+    /// This query's copies of the streams it has read, keyed by the
+    /// stored stream's address (fixed while `wet` is borrowed).
+    windows: HashMap<usize, CompressedStream, BuildHasherDefault<AddrHasher>>,
+}
+
+/// Hashes a stream address with one multiply: the keys are distinct
+/// addresses chosen by the allocator, not input, and a lookup runs on
+/// every cursor read.
+#[derive(Default)]
+struct AddrHasher(u64);
+
+impl Hasher for AddrHasher {
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.write_u64(u64::from(b));
+        }
+    }
+
+    fn write_usize(&mut self, n: usize) {
+        self.write_u64(n as u64);
+    }
+
+    fn write_u64(&mut self, n: u64) {
+        self.0 = (self.0 ^ n).wrapping_mul(0x9E37_79B9_7F4A_7C15);
+    }
+
+    fn finish(&self) -> u64 {
+        self.0 ^ (self.0 >> 29)
+    }
+}
+
+impl<'w> Cursor<'w> {
+    /// A cursor over `wet` that has read nothing yet.
+    pub fn new(wet: &'w Wet) -> Self {
+        Cursor { wet, windows: HashMap::default() }
+    }
+
+    /// The WET this cursor reads.
+    pub fn wet(&self) -> &'w Wet {
+        self.wet
+    }
+
+    fn window(&mut self, s: &'w CompressedStream) -> &mut CompressedStream {
+        self.windows.entry(s as *const CompressedStream as usize).or_insert_with(|| s.clone())
+    }
+
+    /// Reads index `i` of `seq`.
+    ///
+    /// # Panics
+    /// Panics if `i` is out of bounds or the sequence is
+    /// [`Unavailable`](Seq::Unavailable) (queries check
+    /// [`Seq::is_available`] first).
+    pub fn get(&mut self, seq: &'w Seq, i: usize) -> u64 {
+        match seq {
+            Seq::Raw(v) => v[i],
+            Seq::Compressed(s) => self.window(s).get(i),
+            Seq::Unavailable(_) => panic!("read from unavailable (salvage-lost) sequence"),
+        }
+    }
 
     /// Searches a **sorted** sequence for `target`, returning its
-    /// position. Walks the cursor from its current position (galloping
-    /// toward the target), so repeated nearby lookups are cheap.
+    /// position. A tier-2 search gallops from where this cursor last
+    /// left the stream's window, so repeated nearby lookups are cheap.
     /// Unavailable sequences report no match.
-    pub fn find_sorted(&mut self, target: u64) -> Option<usize> {
-        let n = self.len();
-        if n == 0 {
-            return None;
-        }
-        match self {
+    pub fn find_sorted(&mut self, seq: &'w Seq, target: u64) -> Option<usize> {
+        match seq {
             Seq::Raw(v) => v.binary_search(&target).ok(),
-            Seq::Compressed(s) => {
-                // Start near the cursor, then walk monotonically.
+            Seq::Compressed(s) if !s.is_empty() => {
+                let s = self.window(s);
+                let n = s.len();
                 let mut i = s.window_start().clamp(0, n as isize - 1) as usize;
                 let mut vi = s.get(i);
                 while vi < target && i + 1 < n {
@@ -149,8 +194,28 @@ impl Seq {
                 }
                 (vi == target).then_some(i)
             }
-            Seq::Unavailable(_) => None,
+            _ => None,
         }
+    }
+
+    /// The value `stmt` produced at execution `k` of `node`:
+    /// `Values[k] = UVals[Pattern[k]]`. `None` when the statement has
+    /// no def port in the node or a backing sequence was lost to
+    /// salvage.
+    pub fn value_at(&mut self, node: NodeId, stmt: StmtId, k: usize) -> Option<i64> {
+        let n = self.wet.node(node);
+        let ns = n.stmts[n.stmt_pos(stmt)?];
+        if !ns.has_def {
+            return None;
+        }
+        let g = &n.groups[ns.group as usize];
+        let idx = match &g.pattern {
+            None => k,
+            Some(p) if p.is_available() => self.get(p, k) as usize,
+            Some(_) => return None,
+        };
+        let u = &g.uvals[ns.member as usize];
+        u.is_available().then(|| self.get(u, idx) as i64)
     }
 }
 
@@ -163,42 +228,65 @@ impl From<Vec<u64>> for Seq {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::tests::{build_wet, looping_program};
 
     fn cfg() -> StreamConfig {
         StreamConfig::default()
     }
 
+    fn any_wet() -> Wet {
+        build_wet(&looping_program(), &[4], Default::default()).0
+    }
+
     #[test]
     fn raw_and_compressed_agree() {
         let data: Vec<u64> = (0..500).map(|i| i * 7 % 64).collect();
-        let mut raw = Seq::Raw(data.clone());
+        let raw = Seq::Raw(data.clone());
         let mut comp = Seq::Raw(data.clone());
         comp.compress(&cfg());
         assert!(matches!(comp, Seq::Compressed(_)));
         assert_eq!(raw.len(), comp.len());
+        let wet = any_wet();
+        let mut cur = Cursor::new(&wet);
         for i in [0usize, 499, 250, 10, 499, 0] {
-            assert_eq!(raw.get(i), comp.get(i), "index {i}");
+            assert_eq!(cur.get(&raw, i), cur.get(&comp, i), "index {i}");
         }
-        assert_eq!(comp.to_vec(), data);
+        assert_eq!(comp.to_vec_snapshot(), data);
     }
 
     #[test]
     fn find_sorted_hits_and_misses() {
         let data: Vec<u64> = (0..200).map(|i| i * 3).collect();
+        let wet = any_wet();
         for make in [false, true] {
             let mut s = Seq::Raw(data.clone());
             if make {
                 s.compress(&cfg());
             }
-            assert_eq!(s.find_sorted(0), Some(0));
-            assert_eq!(s.find_sorted(33), Some(11));
-            assert_eq!(s.find_sorted(597), Some(199));
-            assert_eq!(s.find_sorted(34), None);
-            assert_eq!(s.find_sorted(598), None);
+            let mut cur = Cursor::new(&wet);
+            assert_eq!(cur.find_sorted(&s, 0), Some(0));
+            assert_eq!(cur.find_sorted(&s, 33), Some(11));
+            assert_eq!(cur.find_sorted(&s, 597), Some(199));
+            assert_eq!(cur.find_sorted(&s, 34), None);
+            assert_eq!(cur.find_sorted(&s, 598), None);
             // Lookups in both directions after a far jump.
-            assert_eq!(s.find_sorted(3), Some(1));
-            assert_eq!(s.find_sorted(300), Some(100));
+            assert_eq!(cur.find_sorted(&s, 3), Some(1));
+            assert_eq!(cur.find_sorted(&s, 300), Some(100));
         }
+    }
+
+    #[test]
+    fn reads_leave_the_stored_stream_in_place() {
+        let data: Vec<u64> = (0..300).map(|i| i * 5).collect();
+        let mut s = Seq::Raw(data);
+        s.compress(&cfg());
+        let Seq::Compressed(stored) = &s else { unreachable!() };
+        let before = stored.window_start();
+        let wet = any_wet();
+        let mut cur = Cursor::new(&wet);
+        assert_eq!(cur.get(&s, 0), 0);
+        assert_eq!(cur.find_sorted(&s, 50), Some(10));
+        assert_eq!(stored.window_start(), before);
     }
 
     #[test]
@@ -214,8 +302,10 @@ mod tests {
     fn empty_sequence() {
         let mut s = Seq::Raw(vec![]);
         assert!(s.is_empty());
-        assert_eq!(s.find_sorted(5), None);
+        let wet = any_wet();
+        assert_eq!(Cursor::new(&wet).find_sorted(&s, 5), None);
         s.compress(&cfg());
         assert_eq!(s.len(), 0);
+        assert_eq!(Cursor::new(&wet).find_sorted(&s, 5), None);
     }
 }

@@ -1679,15 +1679,15 @@ mod tests {
     #[test]
     fn roundtrip_preserves_queries_both_tiers() {
         for tier2 in [false, true] {
-            let (p, mut wet) = sample_wet(tier2);
+            let (p, wet) = sample_wet(tier2);
             let mut bytes = Vec::new();
             wet.write_to(&mut bytes).unwrap();
-            let mut back = Wet::read_from(&mut bytes.as_slice()).unwrap();
+            let back = Wet::read_from(&mut bytes.as_slice()).unwrap();
             assert_eq!(back.is_tier2(), tier2);
             assert_eq!(back.nodes().len(), wet.nodes().len());
             assert_eq!(back.sizes(), wet.sizes());
-            let a = query::cf_trace_forward(&mut wet).unwrap();
-            let b = query::cf_trace_forward(&mut back).unwrap();
+            let a = query::cf_trace_forward(&wet).unwrap();
+            let b = query::cf_trace_forward(&back).unwrap();
             assert_eq!(a, b, "tier2={tier2}");
             for sid in 0..p.stmt_count() as u32 {
                 let s = StmtId(sid);
@@ -1708,13 +1708,13 @@ mod tests {
     #[test]
     fn v1_compat_roundtrip() {
         for tier2 in [false, true] {
-            let (_p, mut wet) = sample_wet(tier2);
+            let (_p, wet) = sample_wet(tier2);
             let mut bytes = Vec::new();
             wet.write_to_v1(&mut bytes).unwrap();
-            let mut back = Wet::read_from(&mut bytes.as_slice()).unwrap();
+            let back = Wet::read_from(&mut bytes.as_slice()).unwrap();
             assert_eq!(back.is_tier2(), tier2);
-            let a = query::cf_trace_forward(&mut wet).unwrap();
-            let b = query::cf_trace_forward(&mut back).unwrap();
+            let a = query::cf_trace_forward(&wet).unwrap();
+            let b = query::cf_trace_forward(&back).unwrap();
             assert_eq!(a, b, "v1 tier2={tier2}");
         }
     }
@@ -1776,7 +1776,7 @@ mod tests {
 
     #[test]
     fn salvage_recovers_structure_when_values_damaged() {
-        let (_p, mut wet) = sample_wet(true);
+        let (_p, wet) = sample_wet(true);
         let mut bytes = Vec::new();
         wet.write_to(&mut bytes).unwrap();
         let spans = section_spans(&bytes).unwrap();
@@ -1784,14 +1784,14 @@ mod tests {
         let mut m = bytes.clone();
         m[vals.payload_start + vals.payload_len / 2] ^= 0x40;
         assert!(Wet::read_from(&mut m.as_slice()).is_err());
-        let (mut back, report) = Wet::read_salvaging(&mut m.as_slice()).unwrap();
+        let (back, report) = Wet::read_salvaging(&mut m.as_slice()).unwrap();
         assert!(!report.is_clean());
         assert!(report.seqs_lost > 0);
         assert!(report.seqs_recovered > 0);
         assert_eq!(report.seqs_lost, back.unavailable_seqs());
         // Structure and control flow survive intact.
-        let a = query::cf_trace_forward(&mut wet).unwrap();
-        let b = query::cf_trace_forward(&mut back).unwrap();
+        let a = query::cf_trace_forward(&wet).unwrap();
+        let b = query::cf_trace_forward(&back).unwrap();
         assert_eq!(a, b);
     }
 
@@ -1892,7 +1892,7 @@ mod tests {
             wet.write_to(&mut f).unwrap();
         }
         let mut f = std::io::BufReader::new(std::fs::File::open(&path).unwrap());
-        let mut back = Wet::read_from(&mut f).unwrap();
-        assert_eq!(query::cf_trace_forward(&mut back).unwrap().len() as u64, wet.stats().paths_executed);
+        let back = Wet::read_from(&mut f).unwrap();
+        assert_eq!(query::cf_trace_forward(&back).unwrap().len() as u64, wet.stats().paths_executed);
     }
 }

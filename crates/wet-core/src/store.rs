@@ -413,9 +413,9 @@ impl StoredTrace {
         &self.tenant
     }
 
-    /// The query lock. Take it shared for snapshot queries, exclusive
-    /// for whole-trace/slice queries — after pinning the sections the
-    /// query needs via [`TraceStore::ensure`].
+    /// The query lock. Queries take it shared, after pinning the
+    /// sections they need via [`TraceStore::ensure`]; only the store
+    /// takes it exclusively, to fill or evict a section.
     pub fn wet(&self) -> &RwLock<Wet> {
         &self.wet
     }
@@ -1485,16 +1485,16 @@ mod tests {
         let path = saved_trace(&dir, "a.wetz", 70);
 
         let bytes = std::fs::read(&path).unwrap();
-        let mut eager = Wet::read_from(&mut bytes.as_slice()).unwrap();
-        let expect_cf = query::cf_trace_forward(&mut eager).unwrap();
+        let eager = Wet::read_from(&mut bytes.as_slice()).unwrap();
+        let expect_cf = query::cf_trace_forward(&eager).unwrap();
 
         let store = TraceStore::new(StoreOptions::default());
         let t = store.open("a", "ten", &path, None).unwrap();
         assert_eq!(store.resident_bytes(), 0, "no lazy bytes before first touch");
         let _pin = store.ensure(&t, &[LazySection::Tseq]).unwrap();
         assert!(store.resident_bytes() > 0);
-        let mut wet = t.wet().write().unwrap();
-        let got = query::cf_trace_forward(&mut wet).unwrap();
+        let wet = t.wet().read().unwrap();
+        let got = query::cf_trace_forward(&wet).unwrap();
         assert_eq!(got, expect_cf);
         assert_eq!(store.lazy_decodes(), 1);
         let _ = std::fs::remove_dir_all(&dir);
@@ -1587,11 +1587,11 @@ mod tests {
         let tb = b.open("p", "", &path, None).unwrap();
         let _pa = a.ensure(&ta, &LAZY_SECTIONS).unwrap();
         let _pb = b.ensure(&tb, &LAZY_SECTIONS).unwrap();
-        let mut wa = ta.wet().write().unwrap();
-        let mut wb = tb.wet().write().unwrap();
+        let wa = ta.wet().read().unwrap();
+        let wb = tb.wet().read().unwrap();
         assert_eq!(
-            query::cf_trace_forward(&mut wa).unwrap(),
-            query::cf_trace_forward(&mut wb).unwrap()
+            query::cf_trace_forward(&wa).unwrap(),
+            query::cf_trace_forward(&wb).unwrap()
         );
         let _ = std::fs::remove_dir_all(&dir);
     }
@@ -1643,16 +1643,16 @@ mod tests {
         assert_eq!(store.repairs_ok(), 1);
         let t = store.get("h").unwrap();
         let _pin = store.ensure(&t, &LAZY_SECTIONS).unwrap();
-        let mut wet = t.wet().write().unwrap();
-        let repaired = query::cf_trace_forward(&mut wet).unwrap();
+        let wet = t.wet().read().unwrap();
+        let repaired = query::cf_trace_forward(&wet).unwrap();
         drop(wet);
 
         // Byte-identical to a store that never saw the fault.
         let clean = TraceStore::new(StoreOptions::default());
         let tc = clean.open("h", "ten", &path, None).unwrap();
         let _pc = clean.ensure(&tc, &LAZY_SECTIONS).unwrap();
-        let mut wc = tc.wet().write().unwrap();
-        assert_eq!(repaired, query::cf_trace_forward(&mut wc).unwrap());
+        let wc = tc.wet().read().unwrap();
+        assert_eq!(repaired, query::cf_trace_forward(&wc).unwrap());
         let _ = std::fs::remove_dir_all(&dir);
     }
 
@@ -1712,8 +1712,8 @@ mod tests {
         // The degraded replacement is eagerly resident; ensure is a
         // no-op success and TSEQ-only queries still answer.
         let _pin = store.ensure(&fresh, &LAZY_SECTIONS).unwrap();
-        let mut wet = fresh.wet().write().unwrap();
-        assert!(query::cf_trace_forward(&mut wet).is_ok());
+        let wet = fresh.wet().read().unwrap();
+        assert!(query::cf_trace_forward(&wet).is_ok());
         let _ = std::fs::remove_dir_all(&dir);
     }
 }

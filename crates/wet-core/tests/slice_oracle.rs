@@ -65,7 +65,7 @@ fn wet_elem(wet: &Wet, rec: &Recorder, stmt: StmtId, instance: u64) -> WetSliceE
 }
 
 fn check_all_backward_slices(p: &Program, inputs: &[i64], config: WetConfig, tier2: bool) {
-    let (mut wet, rec) = build(p, inputs, config, tier2);
+    let (wet, rec) = build(p, inputs, config, tier2);
     for (i, r) in rec.stmts.iter().enumerate() {
         // Sample to keep runtime sane: every 7th instance.
         if i % 7 != 0 {
@@ -73,7 +73,7 @@ fn check_all_backward_slices(p: &Program, inputs: &[i64], config: WetConfig, tie
         }
         let expect = ref_slice(&rec, r.ev.stmt, r.ev.instance, false);
         let elem = wet_elem(&wet, &rec, r.ev.stmt, r.ev.instance);
-        let got = backward_slice(&mut wet, p, elem, SliceSpec::default()).unwrap();
+        let got = backward_slice(&wet, p, elem, SliceSpec::default()).unwrap();
         assert_eq!(
             got.stamped, expect,
             "backward slice mismatch at {}#{} (ts {})",
@@ -153,14 +153,14 @@ fn backward_slices_match_without_tier1_optimizations() {
 #[test]
 fn forward_slices_match_reference() {
     let p = mixed_program();
-    let (mut wet, rec) = build(&p, &[6], WetConfig::default(), true);
+    let (wet, rec) = build(&p, &[6], WetConfig::default(), true);
     for (i, r) in rec.stmts.iter().enumerate() {
         if i % 11 != 0 {
             continue;
         }
         let expect = ref_slice(&rec, r.ev.stmt, r.ev.instance, true);
         let elem = wet_elem(&wet, &rec, r.ev.stmt, r.ev.instance);
-        let got = forward_slice(&mut wet, &p, elem, SliceSpec::default()).unwrap();
+        let got = forward_slice(&wet, &p, elem, SliceSpec::default()).unwrap();
         assert_eq!(
             got.stamped, expect,
             "forward slice mismatch at {}#{} (ts {})",
@@ -172,11 +172,11 @@ fn forward_slices_match_reference() {
 #[test]
 fn data_only_slices_are_subsets() {
     let p = mixed_program();
-    let (mut wet, rec) = build(&p, &[8], WetConfig::default(), true);
+    let (wet, rec) = build(&p, &[8], WetConfig::default(), true);
     let r = &rec.stmts[rec.stmts.len() - 3];
     let elem = wet_elem(&wet, &rec, r.ev.stmt, r.ev.instance);
-    let full = backward_slice(&mut wet, &p, elem, SliceSpec::default()).unwrap();
-    let data_only = backward_slice(&mut wet, &p, elem, SliceSpec { data: true, control: false }).unwrap();
+    let full = backward_slice(&wet, &p, elem, SliceSpec::default()).unwrap();
+    let data_only = backward_slice(&wet, &p, elem, SliceSpec { data: true, control: false }).unwrap();
     assert!(data_only.stamped.is_subset(&full.stamped));
     assert!(data_only.len() < full.len(), "control deps add elements");
 }
@@ -184,11 +184,11 @@ fn data_only_slices_are_subsets() {
 #[test]
 fn slice_of_first_instruction_is_singleton() {
     let p = mixed_program();
-    let (mut wet, rec) = build(&p, &[3], WetConfig::default(), true);
+    let (wet, rec) = build(&p, &[3], WetConfig::default(), true);
     // The very first `input` has no producers and no control parent.
     let first = &rec.stmts[0];
     let elem = wet_elem(&wet, &rec, first.ev.stmt, first.ev.instance);
-    let s = backward_slice(&mut wet, &p, elem, SliceSpec::default()).unwrap();
+    let s = backward_slice(&wet, &p, elem, SliceSpec::default()).unwrap();
     assert_eq!(s.len(), 1);
     let node0 = NodeId(0);
     assert!(wet.node(node0).stmt_pos(first.ev.stmt).is_some());
@@ -198,23 +198,23 @@ fn slice_of_first_instruction_is_singleton() {
 fn partial_traces_from_any_point_match_full_trace() {
     use wet_core::query::{cf_trace_forward, cf_trace_from, locate_ts};
     let p = mixed_program();
-    let (mut wet, _rec) = build(&p, &[7], WetConfig::default(), true);
-    let full = cf_trace_forward(&mut wet).unwrap();
+    let (wet, _rec) = build(&p, &[7], WetConfig::default(), true);
+    let full = cf_trace_forward(&wet).unwrap();
     let last_ts = full.last().unwrap().ts;
     // From several interior points, forward and backward windows must
     // be exact sub-slices of the full trace.
     for &start in &[1u64, last_ts / 3, last_ts / 2, last_ts - 1, last_ts] {
-        let fwd = cf_trace_from(&mut wet, start, 10, true).unwrap();
+        let fwd = cf_trace_from(&wet, start, 10, true).unwrap();
         let idx = (start - 1) as usize;
         let expect: Vec<_> = full[idx..(idx + 10).min(full.len())].to_vec();
         assert_eq!(fwd, expect, "forward from ts {start}");
-        let bwd = cf_trace_from(&mut wet, start, 10, false).unwrap();
+        let bwd = cf_trace_from(&wet, start, 10, false).unwrap();
         let lo = idx.saturating_sub(9);
         let mut expect: Vec<_> = full[lo..=idx].to_vec();
         expect.reverse();
         assert_eq!(bwd, expect, "backward from ts {start}");
     }
     // Out-of-range timestamps locate nothing.
-    assert!(locate_ts(&mut wet, last_ts + 5).is_none());
-    assert!(cf_trace_from(&mut wet, 0, 5, true).unwrap().is_empty());
+    assert!(locate_ts(&wet, last_ts + 5).is_none());
+    assert!(cf_trace_from(&wet, 0, 5, true).unwrap().is_empty());
 }

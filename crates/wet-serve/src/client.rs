@@ -152,7 +152,7 @@ impl Client {
                     if v.get("id").and_then(Value::as_u64) != Some(id) {
                         continue;
                     }
-                    return Ok(decode_reply(&v));
+                    return Ok(decode_reply(v));
                 }
                 Poll::Eof => {
                     return Err(io::Error::new(io::ErrorKind::UnexpectedEof, "server closed connection"))
@@ -249,9 +249,14 @@ impl Client {
 }
 
 /// Decodes a response document into a [`Reply`].
-pub fn decode_reply(v: &Value) -> Reply {
+pub fn decode_reply(v: Value) -> Reply {
     if v.get("ok").and_then(Value::as_bool) == Some(true) {
-        return Reply::Ok(v.get("result").cloned().unwrap_or(Value::Null));
+        // Moved out, not cloned: a large result is held once.
+        let result = match v {
+            Value::Obj(pairs) => pairs.into_iter().find(|(k, _)| k == "result").map(|(_, r)| r),
+            _ => None,
+        };
+        return Reply::Ok(result.unwrap_or(Value::Null));
     }
     let err = v.get("error");
     Reply::Err {

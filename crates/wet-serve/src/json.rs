@@ -28,6 +28,11 @@ pub enum Value {
     Str(String),
     Arr(Vec<Value>),
     Obj(Vec<(String, Value)>),
+    /// JSON text rendered ahead of time and emitted verbatim. The
+    /// parser never produces it; replies use it (via [`int_rows`]) for
+    /// their large row arrays, which as a tree of `Value`s would take
+    /// several times the memory of their text.
+    Raw(String),
 }
 
 impl Value {
@@ -113,8 +118,28 @@ impl Value {
                 }
                 out.push('}');
             }
+            Value::Raw(text) => out.push_str(text),
         }
     }
+}
+
+/// An array of integer rows, `[[a,b,..],..]`, rendered straight to
+/// text: the same bytes as the `Arr` of `Arr`s of `Int`s, without
+/// building that tree.
+pub fn int_rows<const N: usize>(rows: impl IntoIterator<Item = [i64; N]>) -> Value {
+    let mut out = String::from("[");
+    for (i, row) in rows.into_iter().enumerate() {
+        out.push_str(if i > 0 { ",[" } else { "[" });
+        for (j, n) in row.iter().enumerate() {
+            if j > 0 {
+                out.push(',');
+            }
+            let _ = write!(out, "{n}");
+        }
+        out.push(']');
+    }
+    out.push(']');
+    Value::Raw(out)
 }
 
 /// Convenience constructor for an object literal.
@@ -144,7 +169,7 @@ fn render_str(s: &str, out: &mut String) {
 /// and nesting deeper than [`MAX_DEPTH`].
 pub fn parse(input: &str) -> Result<Value, String> {
     let b = input.as_bytes();
-    let mut p = Parser { b, i: 0 };
+    let mut p = Parser { b, i: 0, items: Vec::new() };
     let v = p.value(0)?;
     p.skip_ws();
     if p.i != b.len() {
@@ -156,6 +181,10 @@ pub fn parse(input: &str) -> Result<Value, String> {
 struct Parser<'a> {
     b: &'a [u8],
     i: usize,
+    /// Items of the arrays being parsed, innermost last: each array is
+    /// moved out at its `]` into a `Vec` of exactly its length, so a
+    /// reply of many short rows holds no spare capacity.
+    items: Vec<Value>,
 }
 
 impl<'a> Parser<'a> {
@@ -203,20 +232,21 @@ impl<'a> Parser<'a> {
             Some(b'"') => Ok(Value::Str(self.string()?)),
             Some(b'[') => {
                 self.i += 1;
-                let mut items = Vec::new();
                 self.skip_ws();
                 if self.peek() == Some(b']') {
                     self.i += 1;
-                    return Ok(Value::Arr(items));
+                    return Ok(Value::Arr(Vec::new()));
                 }
+                let start = self.items.len();
                 loop {
-                    items.push(self.value(depth + 1)?);
+                    let item = self.value(depth + 1)?;
+                    self.items.push(item);
                     self.skip_ws();
                     match self.peek() {
                         Some(b',') => self.i += 1,
                         Some(b']') => {
                             self.i += 1;
-                            return Ok(Value::Arr(items));
+                            return Ok(Value::Arr(self.items.drain(start..).collect()));
                         }
                         _ => return Err(format!("expected `,` or `]` at offset {}", self.i)),
                     }
@@ -339,6 +369,30 @@ mod tests {
         assert_eq!(parse(&v.render()).unwrap(), v);
         // Rendering is deterministic and compact.
         assert_eq!(v.render(), parse(&v.render()).unwrap().render());
+    }
+
+    #[test]
+    fn int_rows_render_as_the_tree_would() {
+        let rows = [[0, -1, i64::MAX], [7, 42, i64::MIN]];
+        let tree = Value::Arr(rows.iter().map(|r| Value::Arr(r.iter().map(|&n| Value::Int(n)).collect())).collect());
+        assert_eq!(int_rows(rows).render(), tree.render());
+        assert_eq!(int_rows::<2>([]).render(), "[]");
+        assert_eq!(parse(&int_rows(rows).render()).unwrap(), tree);
+        let reply = obj(vec![("count", Value::Int(1)), ("pairs", int_rows([[3, 4]]))]);
+        assert_eq!(parse(&reply.render()).unwrap().render(), reply.render());
+    }
+
+    #[test]
+    fn parsed_arrays_hold_no_spare_capacity() {
+        fn check(v: &Value) {
+            if let Value::Arr(items) = v {
+                assert_eq!(items.capacity(), items.len());
+                items.iter().for_each(check);
+            }
+        }
+        let v = parse("[[1,2],[],[3,[4,5,6]],7,[8,[9,[10]]]]").unwrap();
+        check(&v);
+        assert_eq!(v.render(), "[[1,2],[],[3,[4,5,6]],7,[8,[9,[10]]]]");
     }
 
     #[test]

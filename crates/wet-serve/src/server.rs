@@ -2,10 +2,11 @@
 //! cooperative cancellation, and graceful drain.
 //!
 //! One [`Server`] owns a [`TraceStore`] serving one or many traces.
-//! Each trace sits behind its own `RwLock<Wet>`: per-instruction
-//! value/address traces take it shared (they only snapshot streams),
-//! whole-trace and slice queries take it exclusively (they borrow the
-//! graph mutably for decompression). Queries route by the request's
+//! Each trace sits behind its own `RwLock<Wet>`, which every query
+//! takes shared: a query reads the stored streams through its own
+//! [`wet_core::Cursor`] and never moves them, so any number of queries
+//! run on one trace at once. Only the store takes the lock exclusively,
+//! to fill or evict a lazy section. Queries route by the request's
 //! `trace` id (default `"default"`, the single-trace compatibility
 //! path); before a query runs, the store makes the sections it needs
 //! resident and pins them ([`TraceStore::ensure`]) so eviction never
@@ -307,10 +308,6 @@ pub struct Server {
 
 fn lock_read(wet: &RwLock<Wet>) -> std::sync::RwLockReadGuard<'_, Wet> {
     wet.read().unwrap_or_else(PoisonError::into_inner)
-}
-
-fn lock_write(wet: &RwLock<Wet>) -> std::sync::RwLockWriteGuard<'_, Wet> {
-    wet.write().unwrap_or_else(PoisonError::into_inner)
 }
 
 /// The trace id requests that name no `trace` route to (the
@@ -968,8 +965,7 @@ impl Server {
                 };
                 if !strict || ctl.has_budget() {
                     // Partial: answer what the surviving sections and the
-                    // byte/wall budget cover, gap-annotate the rest. Works
-                    // from snapshots, so the shared read lock suffices.
+                    // byte/wall budget cover, gap-annotate the rest.
                     if !forward {
                         let what = if ctl.has_budget() { "budgeted" } else { "degraded" };
                         return Err(Wire::BadRequest(format!("{what} cf_trace is forward-only")));
@@ -978,11 +974,11 @@ impl Server {
                     let (steps, deg) = query::cf_trace_forward_partial(&wet, ctl)?;
                     Ok(steps_value(&steps, Some(&deg), ctl.bytes_spent()))
                 } else {
-                    let mut wet = lock_write(trace.wet());
+                    let wet = lock_read(trace.wet());
                     let steps = if forward {
-                        query::cf_trace_forward_ctl(&mut wet, ctl)?
+                        query::cf_trace_forward_ctl(&wet, ctl)?
                     } else {
-                        query::cf_trace_backward_ctl(&mut wet, ctl)?
+                        query::cf_trace_backward_ctl(&wet, ctl)?
                     };
                     Ok(steps_value(&steps, None, 0))
                 }
@@ -1029,7 +1025,7 @@ impl Server {
                     .ok_or_else(|| Wire::BadRequest("slice needs `node`".into()))?;
                 let k = req.get("k").and_then(Value::as_u64).unwrap_or(0) as u32;
                 let control = req.get("control").and_then(Value::as_bool).unwrap_or(true);
-                let mut wet = lock_write(trace.wet());
+                let wet = lock_read(trace.wet());
                 if node as usize >= wet.nodes().len() {
                     return Err(Wire::BadRequest(format!("node {node} out of range")));
                 }
@@ -1046,10 +1042,10 @@ impl Server {
                 let spec = query::SliceSpec { data: true, control };
                 let criterion = query::WetSliceElem { node, stmt, k };
                 if strict {
-                    let slice = query::backward_slice_ctl(&mut wet, program, criterion, spec, ctl)?;
+                    let slice = query::backward_slice_ctl(&wet, program, criterion, spec, ctl)?;
                     Ok(slice_value(&slice, None))
                 } else {
-                    let (slice, deg) = query::backward_slice_partial(&mut wet, program, criterion, spec, ctl)?;
+                    let (slice, deg) = query::backward_slice_partial(&wet, program, criterion, spec, ctl)?;
                     Ok(slice_value(&slice, Some(&deg)))
                 }
             }
@@ -1364,18 +1360,7 @@ fn quality_pairs(
 }
 
 fn steps_value(steps: &[query::CfStep], deg: Option<&query::Degraded>, bytes_spent: u64) -> Value {
-    let arr = Value::Arr(
-        steps
-            .iter()
-            .map(|s| {
-                Value::Arr(vec![
-                    Value::Int(s.node.0 as i64),
-                    Value::Int(s.k as i64),
-                    Value::Int(s.ts as i64),
-                ])
-            })
-            .collect(),
-    );
+    let arr = json::int_rows(steps.iter().map(|s| [s.node.0 as i64, s.k as i64, s.ts as i64]));
     let mut pairs = vec![("count", Value::Int(steps.len() as i64)), ("steps", arr)];
     quality_pairs(&mut pairs, deg, bytes_spent);
     json::obj(pairs)
@@ -1387,28 +1372,17 @@ fn pairs_value<T>(
     deg: Option<&query::Degraded>,
     bytes_spent: u64,
 ) -> Value {
-    let arr = Value::Arr(
-        items
-            .iter()
-            .map(|t| {
-                let (a, b) = f(t);
-                Value::Arr(vec![Value::Int(a), Value::Int(b)])
-            })
-            .collect(),
-    );
+    let arr = json::int_rows(items.iter().map(|t| {
+        let (a, b) = f(t);
+        [a, b]
+    }));
     let mut pairs = vec![("count", Value::Int(items.len() as i64)), ("pairs", arr)];
     quality_pairs(&mut pairs, deg, bytes_spent);
     json::obj(pairs)
 }
 
 fn slice_value(slice: &query::WetSlice, deg: Option<&query::Degraded>) -> Value {
-    let stamped = Value::Arr(
-        slice
-            .stamped
-            .iter()
-            .map(|&(s, ts)| Value::Arr(vec![Value::Int(s.0 as i64), Value::Int(ts as i64)]))
-            .collect(),
-    );
+    let stamped = json::int_rows(slice.stamped.iter().map(|&(s, ts)| [s.0 as i64, ts as i64]));
     let statics = Value::Arr(slice.static_stmts().iter().map(|s| Value::Int(s.0 as i64)).collect());
     let mut pairs = vec![
         ("count", Value::Int(slice.len() as i64)),

@@ -62,12 +62,14 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     println!("\nbidirectional traversal sanity (timestamp stream of the biggest node):");
     let big_idx = (0..wet.nodes().len()).max_by_key(|&i| wet.nodes()[i].n_execs).expect("nodes");
     let big = wet::core::NodeId(big_idx as u32);
-    let n_execs = wet.node(big).n_execs as usize;
+    let ts = &wet.node(big).ts;
+    let n_execs = ts.len();
+    let mut cur = wet::core::Cursor::new(&wet);
     let t0 = std::time::Instant::now();
-    let _fwd: Vec<u64> = (0..n_execs).map(|k| wet.node_mut(big).ts_at(k)).collect();
+    let _fwd: Vec<u64> = (0..n_execs).map(|k| cur.get(ts, k)).collect();
     let fwd_t = t0.elapsed();
     let t0 = std::time::Instant::now();
-    let _bwd: Vec<u64> = (0..n_execs).rev().map(|k| wet.node_mut(big).ts_at(k)).collect();
+    let _bwd: Vec<u64> = (0..n_execs).rev().map(|k| cur.get(ts, k)).collect();
     let bwd_t = t0.elapsed();
     println!("  {} executions: forward {:?}, backward {:?}", n_execs, fwd_t, bwd_t);
     Ok(())

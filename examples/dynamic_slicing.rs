@@ -83,9 +83,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         .expect("the t2 load exists");
 
     // It executes once, in the final path; find its node.
-    let last = query::cf_trace_backward(&mut wet).unwrap()[0];
+    let last = query::cf_trace_backward(&wet).unwrap()[0];
     let criterion = query::WetSliceElem { node: last.node, stmt: load_t2, k: last.k };
-    let slice = query::backward_slice(&mut wet, &program, criterion, query::SliceSpec::default()).unwrap();
+    let slice = query::backward_slice(&wet, &program, criterion, query::SliceSpec::default()).unwrap();
 
     println!("backward WET slice of the wrong output:");
     println!("  {} dynamic instances, {} static statements", slice.len(), slice.static_stmts().len());

@@ -97,7 +97,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         .max_by_key(|&ni| wet.nodes()[ni].n_execs)
         .map(|ni| wet_core::NodeId(ni as u32))
         .expect("acc stmt is in a node");
-    print!("{}", dump::dump_node(&mut wet, &program, node, 5));
+    print!("{}", dump::dump_node(&wet, &program, node, 5));
 
     println!("\nWET sizes: orig {} B -> tier-1 {} B -> tier-2 {} B", wet.sizes().orig_total(),
         wet.sizes().t1_total(), wet.sizes().t2_total());

@@ -48,7 +48,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     );
     let mut rows: Vec<(StmtId, mine::ValueLocality)> = (0..w.program.stmt_count() as u32)
         .map(StmtId)
-        .filter_map(|s| mine::value_locality(&mut wet, s).map(|l| (s, l)))
+        .filter_map(|s| mine::value_locality(&wet, s).map(|l| (s, l)))
         .filter(|(_, l)| l.execs >= 100)
         .collect();
     rows.sort_by(|a, b| b.1.top_share.partial_cmp(&a.1.top_share).unwrap());
@@ -73,7 +73,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     println!("\n=== isomorphic statements (always produce identical values) ===");
     let all: Vec<StmtId> = (0..w.program.stmt_count() as u32).map(StmtId).collect();
-    let groups = mine::isomorphic_statements(&mut wet, &all, 50);
+    let groups = mine::isomorphic_statements(&wet, &all, 50);
     if groups.is_empty() {
         println!("  none at this scale");
     }

@@ -52,7 +52,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     );
 
     // Query 1: the full control-flow trace, forward and backward.
-    let fwd = query::cf_trace_forward(&mut wet).unwrap();
+    let fwd = query::cf_trace_forward(&wet).unwrap();
     let blocks = query::expand_blocks(&wet, &fwd);
     println!("control-flow trace: {} path steps, {} block executions", fwd.len(), blocks.len());
 
@@ -75,7 +75,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     println!("load address trace: first five = {:?}", &addrs[..5.min(addrs.len())]);
 
     // Query 4: a backward WET slice from the last total update.
-    let last = query::cf_trace_backward(&mut wet).unwrap()[0];
+    let last = query::cf_trace_backward(&wet).unwrap()[0];
     let criterion = query::WetSliceElem { node: last.node, stmt: StmtId(7), k: last.k };
     // stmt 7 is `total += sq` only if it is in the last node; fall back
     // to any def statement of that node.
@@ -85,7 +85,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         wet.node(last.node).stmts.iter().find(|s| s.has_def).expect("def stmt").id
     };
     let slice = query::backward_slice(
-        &mut wet,
+        &wet,
         &program,
         query::WetSliceElem { stmt, ..criterion },
         query::SliceSpec::default(),

@@ -36,7 +36,7 @@
 //! wet.compress();
 //!
 //! // 3. Query it: full control-flow trace, value traces, slices...
-//! let trace = query::cf_trace_forward(&mut wet).unwrap();
+//! let trace = query::cf_trace_forward(&wet).unwrap();
 //! assert_eq!(trace.len() as u64, wet.stats().paths_executed);
 //! println!("compression ratio: {:.1}", wet.sizes().ratio());
 //! # Ok(())

@@ -50,8 +50,8 @@ fn is_subsequence<T: PartialEq>(sub: &[T], sup: &[T]) -> bool {
 fn budgeted_cf_trace_sound_for_all_workloads() {
     let mut partials = 0u32;
     for kind in Kind::all() {
-        let (mut wet, _) = build(kind);
-        let full = query::cf_trace_forward(&mut wet).expect("full cf trace");
+        let (wet, _) = build(kind);
+        let full = query::cf_trace_forward(&wet).expect("full cf trace");
         for budget in [0u64, 8 * full.len() as u64 / 2, u64::MAX] {
             let (steps, deg) =
                 query::cf_trace_forward_partial(&wet, &budgeted(budget)).expect("budgeted");
@@ -174,7 +174,7 @@ proptest! {
         let kind = Kind::all()[kind_i];
         let (mut wet, program) = build(kind);
 
-        let full_cf = query::cf_trace_forward(&mut wet).unwrap();
+        let full_cf = query::cf_trace_forward(&wet).unwrap();
         let (cf, cf_deg) = query::cf_trace_forward_partial(&wet, &budgeted(budget)).unwrap();
         prop_assert!(is_subsequence(&cf, &full_cf));
         prop_assert_eq!(cf.len() as u64 + cf_deg.steps_missing, full_cf.len() as u64);

@@ -24,11 +24,11 @@ fn build(kind: Kind, target: u64) -> (Program, wet_core::Wet, Recorder) {
 #[test]
 fn cf_traces_match_for_all_workloads() {
     for kind in Kind::all() {
-        let (_p, mut wet, rec) = build(kind, 20_000);
-        let fwd = query::cf_trace_forward(&mut wet).unwrap();
+        let (_p, wet, rec) = build(kind, 20_000);
+        let fwd = query::cf_trace_forward(&wet).unwrap();
         let blocks = query::expand_blocks(&wet, &fwd);
         assert_eq!(blocks, rec.block_trace(), "{}: forward CF trace", kind.name());
-        let mut bwd = query::cf_trace_backward(&mut wet).unwrap();
+        let mut bwd = query::cf_trace_backward(&wet).unwrap();
         bwd.reverse();
         assert_eq!(bwd, fwd, "{}: backward CF trace", kind.name());
     }
@@ -66,7 +66,7 @@ fn slices_match_reference_for_sampled_criteria() {
     use std::collections::BTreeSet;
     use wet_interp::{RefSlicer, SliceElem, SliceKinds};
     for kind in Kind::all() {
-        let (p, mut wet, rec) = build(kind, 8_000);
+        let (p, wet, rec) = build(kind, 8_000);
         let slicer = RefSlicer::new(&rec);
         let idx = rec.stmt_index();
         // Sample a handful of instances across the trace.
@@ -90,7 +90,7 @@ fn slices_match_reference_for_sampled_criteria() {
                 .filter(|q| q.func == pr.func && q.path_id == pr.path_id && q.ts < r.ev.ts)
                 .count() as u32;
             let got = query::backward_slice(
-                &mut wet,
+                &wet,
                 &p,
                 query::WetSliceElem { node, stmt: r.ev.stmt, k },
                 query::SliceSpec::default(),
@@ -152,7 +152,7 @@ fn block_granularity_mode_stays_correct() {
     wet.compress();
     // One timestamp per block execution in this mode.
     assert_eq!(wet.stats().paths_executed, wet.stats().blocks_executed);
-    let fwd = query::cf_trace_forward(&mut wet).unwrap();
+    let fwd = query::cf_trace_forward(&wet).unwrap();
     let blocks = query::expand_blocks(&wet, &fwd);
     assert_eq!(blocks, rec.block_trace());
 }

@@ -217,9 +217,9 @@ fn damage_section(bytes: &[u8], tag: &[u8; 4]) -> Vec<u8> {
 #[test]
 fn salvage_recovers_every_intact_section() {
     for kind in [Kind::Go, Kind::Gzip, Kind::Twolf] {
-        let mut pristine_wet = build_wet(kind);
+        let pristine_wet = build_wet(kind);
         let bytes = wetz_bytes(&pristine_wet);
-        let strict_cf = query::cf_trace_forward(&mut pristine_wet).unwrap();
+        let strict_cf = query::cf_trace_forward(&pristine_wet).unwrap();
 
         // Damaged unique-values section: control flow (TSEQ + BIND) is
         // untouched, so the degraded CF trace must be complete and
@@ -271,7 +271,7 @@ fn strict_queries_report_corrupt_instead_of_panicking() {
 
         // Damaged VALS: some value group is unavailable, so some strict
         // value_trace must answer Corrupt — and none may panic.
-        let (mut wet, report) =
+        let (wet, report) =
             Wet::read_salvaging(&mut &damage_section(&bytes, b"VALS")[..]).expect("salvageable");
         assert!(report.seqs_lost > 0, "{}: VALS damage loses sequences", kind.name());
         let mut corrupt_seen = false;
@@ -294,10 +294,10 @@ fn strict_queries_report_corrupt_instead_of_panicking() {
 
         // Damaged TSEQ: the strict whole-trace walk hits an unavailable
         // timestamp sequence mid-walk and must answer Corrupt.
-        let (mut wet2, _) =
+        let (wet2, _) =
             Wet::read_salvaging(&mut &damage_section(&bytes, b"TSEQ")[..]).expect("salvageable");
         let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            query::cf_trace_forward(&mut wet2)
+            query::cf_trace_forward(&wet2)
         }));
         match outcome {
             Ok(Err(query::QueryErr::Corrupt(_))) => {}
@@ -307,6 +307,6 @@ fn strict_queries_report_corrupt_instead_of_panicking() {
         }
         // And on the VALS-damaged WET the strict CF trace still works
         // (control flow does not touch value sections).
-        assert!(query::cf_trace_forward(&mut wet).is_ok(), "{}: CF strict over VALS damage", kind.name());
+        assert!(query::cf_trace_forward(&wet).is_ok(), "{}: CF strict over VALS damage", kind.name());
     }
 }

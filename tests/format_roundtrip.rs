@@ -39,13 +39,13 @@ fn v2_bytes(wet: &Wet) -> Vec<u8> {
 
 /// Strict-reads `bytes` and checks it re-serializes byte-identically
 /// and answers queries exactly like `original`.
-fn check_reload(original: &mut Wet, bytes: &[u8], ctx: &str) {
-    let mut reread = Wet::read_from(&mut &bytes[..]).unwrap_or_else(|e| panic!("{ctx}: read: {e}"));
+fn check_reload(original: &Wet, bytes: &[u8], ctx: &str) {
+    let reread = Wet::read_from(&mut &bytes[..]).unwrap_or_else(|e| panic!("{ctx}: read: {e}"));
     assert_eq!(&v2_bytes(&reread), bytes, "{ctx}: re-serialization is not byte-identical");
     assert_eq!(reread.stats(), original.stats(), "{ctx}: stats differ");
     assert_eq!(reread.is_tier2(), original.is_tier2(), "{ctx}: tier differs");
     assert_eq!(
-        query::cf_trace_forward(&mut reread).unwrap(),
+        query::cf_trace_forward(&reread).unwrap(),
         query::cf_trace_forward(original).unwrap(),
         "{ctx}: CF trace differs"
     );
@@ -65,10 +65,7 @@ fn v2_and_v1_roundtrip_all_workloads_both_tiers() {
         for tier2 in [false, true] {
             for threads in [1usize, 4] {
                 let ctx = format!("{} tier2={tier2} threads={threads}", kind.name());
-                let (_p, mut wet) = build(kind, 5_000, tier2, threads);
-                // Serialize both container versions up front: queries
-                // move the compressed-stream cursors, and cursor state
-                // is (deliberately) part of the serialized image.
+                let (_p, wet) = build(kind, 5_000, tier2, threads);
                 let v2 = v2_bytes(&wet);
                 let mut v1 = Vec::new();
                 wet.write_to_v1(&mut v1).expect("v1 serialize");
@@ -79,9 +76,44 @@ fn v2_and_v1_roundtrip_all_workloads_both_tiers() {
                     .unwrap_or_else(|e| panic!("{ctx}: v1 read: {e}"));
                 assert_eq!(v2_bytes(&from_v1), v2, "{ctx}: v1 round-trip changes the v2 image");
 
-                check_reload(&mut wet, &v2, &ctx);
+                check_reload(&wet, &v2, &ctx);
             }
         }
+    }
+}
+
+/// Runs one of every strict walk, slice, dump and mining query.
+fn run_queries(wet: &Wet, program: &wet_ir::Program) {
+    let fwd = query::cf_trace_forward(wet).unwrap();
+    query::cf_trace_backward(wet).unwrap();
+    let mid = fwd[fwd.len() / 2];
+    assert_eq!(query::locate_ts(wet, mid.ts), Some(mid));
+    query::cf_trace_from(wet, mid.ts, 50, false).unwrap();
+    let node = wet.node(mid.node);
+    let criterion = query::WetSliceElem { node: mid.node, stmt: node.stmts[node.stmts.len() - 1].id, k: mid.k };
+    query::backward_slice(wet, program, criterion, Default::default()).unwrap();
+    let (last, _) = wet.last();
+    let end = query::WetSliceElem { node: last, stmt: wet.node(last).stmts[0].id, k: wet.node(last).n_execs - 1 };
+    query::forward_slice(wet, program, end, Default::default()).unwrap();
+    wet_core::dump::dump_node(wet, program, mid.node, 8);
+    for s in &node.stmts {
+        query::mine::value_locality(wet, s.id);
+    }
+}
+
+/// The stored streams never move: a WET writes the same bytes before
+/// and after any queries, and a file read back, queried and written
+/// again gives the file's own bytes.
+#[test]
+fn queries_leave_container_bytes_unchanged() {
+    for kind in Kind::all() {
+        let (program, wet) = build(kind, 3_000, true, 1);
+        let before = v2_bytes(&wet);
+        run_queries(&wet, &program);
+        assert!(v2_bytes(&wet) == before, "{}: queries changed the written bytes", kind.name());
+        let reread = Wet::read_from(&mut &before[..]).unwrap();
+        run_queries(&reread, &program);
+        assert!(v2_bytes(&reread) == before, "{}: queries on a read file changed its bytes", kind.name());
     }
 }
 
@@ -99,13 +131,13 @@ proptest! {
     ) {
         let kind = Kind::all()[kind_i];
         let ctx = format!("{} tier2={tier2} threads={threads} target={target}", kind.name());
-        let (_p, mut wet) = build(kind, target, tier2, threads);
+        let (_p, wet) = build(kind, target, tier2, threads);
         let v2 = v2_bytes(&wet);
         let mut v1 = Vec::new();
         wet.write_to_v1(&mut v1).expect("v1 serialize");
         let from_v1 = Wet::read_from(&mut &v1[..]).expect("v1 read");
         prop_assert!(v2_bytes(&from_v1) == v2, "{}: v1 round-trip diverged", ctx);
-        check_reload(&mut wet, &v2, &ctx);
+        check_reload(&wet, &v2, &ctx);
     }
 }
 
@@ -117,7 +149,7 @@ fn v1_fixtures_still_load() {
     for (name, tier2) in [("v1-collatz-t1.wetz", false), ("v1-collatz-t2.wetz", true)] {
         let path = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/fixtures").join(name);
         let bytes = std::fs::read(&path).unwrap_or_else(|e| panic!("{name}: {e}"));
-        let mut wet = Wet::read_from(&mut &bytes[..]).unwrap_or_else(|e| panic!("{name}: {e}"));
+        let wet = Wet::read_from(&mut &bytes[..]).unwrap_or_else(|e| panic!("{name}: {e}"));
         wet.validate().unwrap_or_else(|e| panic!("{name}: validate: {e}"));
         let s = wet.stats().clone();
         assert_eq!(
@@ -139,9 +171,10 @@ fn v1_fixtures_still_load() {
         // The fixture must also round-trip into a clean v2 image.
         let v2 = v2_bytes(&wet);
         let reread = Wet::read_from(&mut &v2[..]).unwrap_or_else(|e| panic!("{name}: v2: {e}"));
-        assert_eq!(query::cf_trace_forward(&mut wet).unwrap(), {
-            let mut r = reread;
-            query::cf_trace_forward(&mut r).unwrap()
-        }, "{name}: CF trace survives migration");
+        assert_eq!(
+            query::cf_trace_forward(&wet).unwrap(),
+            query::cf_trace_forward(&reread).unwrap(),
+            "{name}: CF trace survives migration"
+        );
     }
 }

@@ -205,7 +205,7 @@ fn check_program(seed: u64) {
             wet.compress();
         }
         // Control flow.
-        let fwd = query::cf_trace_forward(&mut wet).unwrap();
+        let fwd = query::cf_trace_forward(&wet).unwrap();
         assert_eq!(query::expand_blocks(&wet, &fwd), rec.block_trace(), "seed {seed} tier2={tier2}: CF");
         // Values and addresses per statement.
         for sid in 0..p.stmt_count() as u32 {
@@ -242,7 +242,7 @@ fn check_program(seed: u64) {
             .filter(|q| q.func == pr.func && q.path_id == pr.path_id && q.ts < r.ev.ts)
             .count() as u32;
         let got = query::backward_slice(
-            &mut wet,
+            &wet,
             &p,
             query::WetSliceElem { node, stmt: r.ev.stmt, k },
             query::SliceSpec::default(),

@@ -1,6 +1,6 @@
 //! Resilience proptest for the `wet serve` daemon.
 //!
-//! Three contracts, over all nine bundled workloads:
+//! Four contracts, over the bundled workloads:
 //!
 //! 1. **Every request terminates cleanly**: N concurrent clients firing
 //!    queries with random deadlines, cancels, and mid-request
@@ -11,13 +11,16 @@
 //!    identical bytes, and a query that was cancelled or shed leaves no
 //!    partial state behind — re-asking on the same server matches a
 //!    fresh server byte for byte.
-//! 3. **The server survives the full drill**: the seeded
+//! 3. **Strict queries share a trace**: strict CF traces and slices
+//!    run at once on one trace, from two threads or two clients, and
+//!    answer exactly what one caller gets alone.
+//! 4. **The server survives the full drill**: the seeded
 //!    misbehaving-client schedule (slow-loris, mid-frame cuts, garbage
 //!    frames, hostile lengths, deadline storms, cancel races) runs
 //!    against a live socket server, after which it still answers.
 
 use proptest::prelude::*;
-use std::sync::OnceLock;
+use std::sync::{Barrier, OnceLock};
 use wet::prelude::*;
 use wet::workloads::Kind;
 use wet_core::fault::FaultRng;
@@ -185,6 +188,146 @@ fn degraded_address_trace_answers_around_lost_values() {
         degraded_seen += 1;
     }
     assert!(degraded_seen > 0, "no address trace reached the lost values");
+}
+
+/// A few backward-slice criteria spread over a trace: the last
+/// statement of each of the first executed nodes, mid-run.
+fn slice_criteria(wet: &Wet) -> Vec<query::WetSliceElem> {
+    wet.nodes()
+        .iter()
+        .enumerate()
+        .filter(|(_, n)| n.n_execs > 0 && !n.stmts.is_empty())
+        .take(4)
+        .map(|(i, n)| query::WetSliceElem {
+            node: wet_core::NodeId(i as u32),
+            stmt: n.stmts[n.stmts.len() - 1].id,
+            k: n.n_execs / 2,
+        })
+        .collect()
+}
+
+#[derive(Debug, PartialEq)]
+enum Answer {
+    Steps(Vec<query::CfStep>),
+    Slice(std::collections::BTreeSet<(StmtId, u64)>),
+}
+
+/// Strict CF walks and slices from two threads over one shared `&Wet`
+/// (each query reads through its own cursor) answer exactly what one
+/// thread answers alone, whatever order the two run them in.
+#[test]
+fn strict_queries_share_one_trace_across_threads() {
+    let (bytes, program, _) = trace_bytes(Kind::Go);
+    let wet = Wet::read_from(&mut &bytes[..]).expect("cached trace reads");
+    let criteria = slice_criteria(&wet);
+    let run = |i: usize| match i {
+        0 => Answer::Steps(query::cf_trace_forward(&wet).expect("forward")),
+        1 => Answer::Steps(query::cf_trace_backward(&wet).expect("backward")),
+        i => Answer::Slice(
+            query::backward_slice(&wet, program, criteria[i - 2], Default::default()).expect("slice").stamped,
+        ),
+    };
+    let n = criteria.len() + 2;
+    let sequential: Vec<Answer> = (0..n).map(run).collect();
+    let start = Barrier::new(2);
+    let (ahead, behind) = std::thread::scope(|scope| {
+        let ahead = scope.spawn(|| {
+            start.wait();
+            (0..n).map(|i| (i, run(i))).collect::<Vec<_>>()
+        });
+        let behind = scope.spawn(|| {
+            start.wait();
+            (0..n).rev().map(|i| (i, run(i))).collect::<Vec<_>>()
+        });
+        (ahead.join().expect("first thread"), behind.join().expect("second thread"))
+    });
+    for (i, got) in ahead.into_iter().chain(behind) {
+        assert_eq!(got, sequential[i], "query {i} differs under concurrency");
+    }
+}
+
+/// Sends the requests in `order` one at a time over one connection and
+/// returns each raw reply frame with its request index.
+fn raw_replies(addr: &str, requests: &[Vec<u8>], order: impl Iterator<Item = usize>) -> Vec<(usize, Vec<u8>)> {
+    let mut stream = wet_serve::connect(addr).expect("connect");
+    let mut reader = wet_serve::proto::FrameReader::new();
+    order
+        .map(|i| {
+            wet_serve::proto::write_frame(&mut stream, &requests[i]).expect("send");
+            loop {
+                match reader.poll(&mut stream).expect("read") {
+                    wet_serve::proto::Poll::Frame(reply) => break (i, reply),
+                    wet_serve::proto::Poll::Pending => continue,
+                    other => panic!("connection ended: {other:?}"),
+                }
+            }
+        })
+        .collect()
+}
+
+/// Two clients asking one served trace for strict CF traces and slices
+/// at the same time (both admitted: `max_active` 2) get byte for byte
+/// the replies one client gets alone.
+#[test]
+fn concurrent_strict_clients_get_the_single_client_bytes() {
+    let kind = Kind::Go;
+    let (bytes, program, _) = trace_bytes(kind);
+    let wet = Wet::read_from(&mut &bytes[..]).expect("cached trace reads");
+    let mut requests: Vec<Vec<(&str, Value)>> = vec![
+        vec![("op", Value::Str("cf_trace".into()))],
+        vec![("op", Value::Str("cf_trace".into())), ("dir", Value::Str("backward".into()))],
+    ];
+    for c in slice_criteria(&wet) {
+        requests.push(vec![
+            ("op", Value::Str("slice".into())),
+            ("node", Value::Int(i64::from(c.node.0))),
+            ("stmt", Value::Int(i64::from(c.stmt.0))),
+            ("k", Value::Int(i64::from(c.k))),
+        ]);
+    }
+    // In-flight ids are unique per server: each request of each client
+    // has its own.
+    let frames = |base: u64| requests.iter().zip(base..).map(|(r, id)| frame_for(id, r)).collect::<Vec<_>>();
+    let (frames_a, frames_b) = (frames(1000), frames(2000));
+    let server = Server::new(
+        wet,
+        Some(program.clone()),
+        ServeOptions { threads: 2, max_active: 2, ..ServeOptions::default() },
+    );
+    let path = sock_path("strict-pair");
+    let _ = std::fs::remove_file(&path);
+    let listener = wet_serve::bind(path.to_str().expect("utf-8 path")).expect("bind");
+    let srv = server.clone();
+    let accept = std::thread::spawn(move || srv.serve(listener));
+    let addr = path.to_str().expect("utf-8 path");
+
+    let n = requests.len();
+    let alone_a = raw_replies(addr, &frames_a, 0..n);
+    let alone_b = raw_replies(addr, &frames_b, 0..n);
+    for (i, reply) in &alone_a {
+        let text = String::from_utf8_lossy(reply);
+        assert!(text.contains("\"ok\":true"), "request {i} failed alone: {text}");
+    }
+    let start = Barrier::new(2);
+    let (ahead, behind) = std::thread::scope(|scope| {
+        let ahead = scope.spawn(|| {
+            start.wait();
+            raw_replies(addr, &frames_a, 0..n)
+        });
+        let behind = scope.spawn(|| {
+            start.wait();
+            raw_replies(addr, &frames_b, (0..n).rev())
+        });
+        (ahead.join().expect("first client"), behind.join().expect("second client"))
+    });
+    for (got, alone) in [(ahead, &alone_a), (behind, &alone_b)] {
+        for (i, reply) in got {
+            assert!(reply == alone[i].1, "request {i}: concurrent reply differs from the single-client one");
+        }
+    }
+    server.begin_drain();
+    accept.join().expect("accept thread").expect("serve loop");
+    let _ = std::fs::remove_file(&path);
 }
 
 /// One client's random session against a live socket server: every
