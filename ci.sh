@@ -410,6 +410,9 @@ if [ ! -s "$obs_dir/slow.log" ]; then
     exit 1
 fi
 grep -q 'wet-slow/1' "$obs_dir/slow.log"
+# Slow-log events carry the engine phase names --profile prints.
+grep -q '"name":"query.cf_trace_forward"' "$obs_dir/slow.log"
+grep -q '"name":"query.value_trace"' "$obs_dir/slow.log"
 grep -q 'wet-access/1' "$obs_dir/access.log"
 while IFS= read -r line; do
     printf '%s\n' "$line" | "$jsonv"

@@ -1340,10 +1340,7 @@ fn audit_access_log(remote: &str, log: &str) -> Result<()> {
         wet_serve::Reply::Ok(v) => v,
         wet_serve::Reply::Err { kind, message, .. } => return Err(remote_fail(&kind, &message)),
     };
-    let completed: i64 = ["ok", "shed", "cancelled", "deadline", "panic", "corrupt", "bad_request"]
-        .iter()
-        .map(|k| stats.get(k).and_then(Value::as_i64).unwrap_or(0))
-        .sum();
+    let completed = wet_serve::completed(&stats);
     if lines != completed {
         return Err(fail(
             EXIT_UNAVAILABLE,
@@ -1384,10 +1381,7 @@ fn cmd_top(flags: &Flags) -> Result<()> {
         };
         let now = std::time::Instant::now();
         let get = |k: &str| stats.get(k).and_then(Value::as_i64).unwrap_or(0);
-        let total: i64 = ["ok", "shed", "cancelled", "deadline", "panic", "corrupt", "bad_request"]
-            .iter()
-            .map(|k| get(k))
-            .sum();
+        let total = wet_serve::completed(&stats);
         let rate = match prev {
             Some((t0, n0)) => {
                 let dt = now.duration_since(t0).as_secs_f64();
@@ -1401,11 +1395,8 @@ fn cmd_top(flags: &Flags) -> Result<()> {
             get("uptime_ms") as f64 / 1000.0,
             stats.get("draining").and_then(Value::as_bool).unwrap_or(false),
         );
-        say!(
-            "  req/s {rate:.1}   total {total}  (ok {} shed {} cancelled {} deadline {} panic {} corrupt {} bad {})",
-            get("ok"), get("shed"), get("cancelled"), get("deadline"),
-            get("panic"), get("corrupt"), get("bad_request")
-        );
+        let outcomes: Vec<String> = wet_serve::OUTCOMES.iter().map(|(k, _)| format!("{k} {}", get(k))).collect();
+        say!("  req/s {rate:.1}   total {total}  ({})", outcomes.join(" "));
         say!("  active {}  queued {}", get("active"), get("queued"));
         say!(
             "  pressure {}  brownouts {}  queue-delay p99 {} us  retry-after {} ms",

@@ -395,10 +395,7 @@ fn audit_ledger(server: &Server, log: &std::path::Path) -> Result<()> {
     let text = read(log)? + &read(&log.with_extension("log.1"))?;
     let lines = text.lines().count() as i64;
     let stats = server.stats_value();
-    let completed: i64 = ["ok", "shed", "cancelled", "deadline", "panic", "corrupt", "bad_request"]
-        .iter()
-        .map(|k| stats.get(k).and_then(Value::as_i64).unwrap_or(0))
-        .sum();
+    let completed = wet_serve::completed(&stats);
     if lines != completed {
         return Err(fail(
             EXIT_UNAVAILABLE,

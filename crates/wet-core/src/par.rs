@@ -20,9 +20,10 @@
 //! code to keep in sync.
 //!
 //! Observability: each spawn captures a [`wet_obs::handoff`] from the
-//! caller so workers inherit its profiling enablement and parent span;
-//! worker spans are buffered thread-locally and merged into the global
-//! collector at pool join (when the scope's threads exit).
+//! caller so workers inherit its profiling enablement, parent span and
+//! request capture; worker spans are buffered thread-locally and merged
+//! into the global collector at pool join (when the scope's threads
+//! exit).
 
 use std::sync::Mutex;
 
@@ -69,7 +70,7 @@ where
     // process their batch without holding the queue.
     let queue = Mutex::new(items.iter_mut().enumerate());
     let obs = wet_obs::handoff();
-    let (queue, f) = (&queue, &f);
+    let (obs, queue, f) = (&obs, &queue, &f);
     let mut parts: Vec<Vec<(usize, R)>> = Vec::with_capacity(threads);
     std::thread::scope(|s| {
         let handles: Vec<_> = (0..threads)
@@ -148,7 +149,7 @@ where
     let chunk = chunk_size(n, threads);
     let queue = Mutex::new(items.iter().enumerate());
     let obs = wet_obs::handoff();
-    let (queue, init, f) = (&queue, &init, &f);
+    let (obs, queue, init, f) = (&obs, &queue, &init, &f);
     let mut parts: Vec<Vec<(usize, R)>> = Vec::with_capacity(threads);
     std::thread::scope(|s| {
         let handles: Vec<_> = (0..threads)

@@ -68,7 +68,7 @@ fn cf_trace_whole(wet: &Wet, forward: bool, ctl: &Ctl) -> Result<Vec<CfStep>, Qu
 
 /// Walks up to `count` steps (at least `start` itself) from `start`
 /// towards the end of the execution in the given direction, recording
-/// the `engine.cf_trace` phase and the `cf.steps` note on `ctl`.
+/// the step count as a `query.rows` observation.
 fn cf_walk(
     cur: &mut Cursor<'_>,
     start: CfStep,
@@ -76,7 +76,6 @@ fn cf_walk(
     count: usize,
     ctl: &Ctl,
 ) -> Result<Vec<CfStep>, QueryErr> {
-    let _p = ctl.phase("engine.cf_trace");
     let wet = cur.wet();
     let (_, first_ts) = wet.first();
     let (_, last_ts) = wet.last();
@@ -89,7 +88,8 @@ fn cf_walk(
         at = cf_step(cur, at, forward)?;
         steps.push(at);
     }
-    ctl.note("cf.steps", steps.len() as u64);
+    let kind = if forward { "cf_trace_forward" } else { "cf_trace_backward" };
+    wet_obs::hist_record("query.rows", kind, steps.len() as u64);
     Ok(steps)
 }
 
@@ -170,7 +170,7 @@ pub fn cf_trace_forward_partial(wet: &Wet, ctl: &Ctl) -> Result<(Vec<CfStep>, De
         deg.gaps += 1;
         deg.steps_missing += last_ts - expected + 1;
     }
-    ctl.note("cf.steps", steps.len() as u64);
+    wet_obs::hist_record("query.rows", "cf_trace_forward_partial", steps.len() as u64);
     Ok((steps, deg))
 }
 
@@ -193,6 +193,7 @@ pub fn locate_ts(wet: &Wet, ts: u64) -> Option<CfStep> {
 ///
 /// Returns an empty vector when `ts` is outside the execution.
 pub fn cf_trace_from(wet: &Wet, ts: u64, count: usize, forward: bool) -> Result<Vec<CfStep>, QueryErr> {
+    let _span = wet_obs::span!("query.cf_trace_from");
     let Some(start) = locate_ts(wet, ts) else { return Ok(Vec::new()) };
     cf_walk(&mut Cursor::new(wet), start, forward, count, &Ctl::unbounded())
 }

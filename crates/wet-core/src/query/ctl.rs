@@ -18,7 +18,7 @@
 //! while keeping the disabled-path cost to one branch per step batch.
 
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, PoisonError};
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 /// How many loop steps a query may take between two [`Ctl::check`]
@@ -117,109 +117,18 @@ struct BudgetState {
     spent: AtomicU64,
 }
 
-/// Cap on buffered events per request trace: a hostile or pathological
-/// query must not turn its own trace into an allocation amplifier.
-/// Past the cap, events are counted (`ReqTrace::dropped`) and dropped.
-pub const TRACE_EVENT_CAP: usize = 4096;
-
-/// One event in a request-scoped trace: a counter note (`dur_us ==
-/// None`) or a finished phase with a duration. `t_us` is microseconds
-/// since the request trace was created.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct TraceEvent {
-    pub t_us: u64,
-    pub name: &'static str,
-    pub n: u64,
-    pub dur_us: Option<u64>,
-}
-
-/// A per-request event buffer threaded through [`Ctl`] into the engine
-/// hot loops — the raw material for `wet-serve`'s slow-query log.
-///
-/// Granularity is deliberately coarse (one note per *node* or *phase*,
-/// never per trace step), so a `Mutex<Vec>` per request is fine: the
-/// lock is uncontended except when one query's worker pool reports
-/// concurrently, and absent a trace the whole path is one branch.
-#[derive(Debug)]
-pub struct ReqTrace {
-    start: Instant,
-    events: Mutex<Vec<TraceEvent>>,
-    dropped: AtomicU64,
-}
-
-impl Default for ReqTrace {
-    fn default() -> Self {
-        ReqTrace::new()
-    }
-}
-
-impl ReqTrace {
-    pub fn new() -> ReqTrace {
-        ReqTrace { start: Instant::now(), events: Mutex::new(Vec::new()), dropped: AtomicU64::new(0) }
-    }
-
-    fn elapsed_us(&self) -> u64 {
-        self.start.elapsed().as_micros() as u64
-    }
-
-    fn push(&self, ev: TraceEvent) {
-        let mut g = self.events.lock().unwrap_or_else(PoisonError::into_inner);
-        if g.len() < TRACE_EVENT_CAP {
-            g.push(ev);
-        } else {
-            self.dropped.fetch_add(1, Ordering::Relaxed);
-        }
-    }
-
-    /// Record a counter-style event (`name = n`).
-    pub fn note(&self, name: &'static str, n: u64) {
-        self.push(TraceEvent { t_us: self.elapsed_us(), name, n, dur_us: None });
-    }
-
-    /// Open a timed phase; the duration is recorded when the guard
-    /// drops.
-    #[must_use = "the phase records its duration when the guard drops"]
-    pub fn phase(self: &Arc<Self>, name: &'static str) -> PhaseGuard {
-        PhaseGuard { trace: Some((Arc::clone(self), name, Instant::now())) }
-    }
-
-    /// Events recorded so far (in recording order) and how many were
-    /// dropped past [`TRACE_EVENT_CAP`].
-    pub fn events(&self) -> (Vec<TraceEvent>, u64) {
-        let g = self.events.lock().unwrap_or_else(PoisonError::into_inner);
-        (g.clone(), self.dropped.load(Ordering::Relaxed))
-    }
-}
-
-/// Guard for [`ReqTrace::phase`] / [`Ctl::phase`]; inert when the
-/// control carries no trace.
-pub struct PhaseGuard {
-    trace: Option<(Arc<ReqTrace>, &'static str, Instant)>,
-}
-
-impl Drop for PhaseGuard {
-    fn drop(&mut self) {
-        if let Some((trace, name, started)) = self.trace.take() {
-            let dur_us = started.elapsed().as_micros() as u64;
-            trace.push(TraceEvent { t_us: trace.elapsed_us(), name, n: 0, dur_us: Some(dur_us) });
-        }
-    }
-}
-
 /// A cancel token + optional deadline threaded through a query.
 ///
 /// `Ctl::default()` is the unbounded control: no deadline, never
 /// cancelled — the behavior of the pre-serve library API, used by all
 /// the plain query entry points.
 ///
-/// Cloning is cheap and shares the cancel flag (and the request trace,
-/// when one is attached), so one token handed to a worker pool cancels
-/// every worker and collects every worker's events.
+/// Cloning is cheap and shares the cancel flag (and the budget ledger),
+/// so one token handed to a worker pool cancels every worker.
 #[derive(Debug, Clone, Default)]
 pub struct Ctl {
     cancel: Option<Arc<AtomicBool>>,
     deadline: Option<Instant>,
-    trace: Option<Arc<ReqTrace>>,
     budget: Option<Arc<BudgetState>>,
 }
 
@@ -297,43 +206,6 @@ impl Ctl {
         self.budget.as_ref().map_or(0, |b| b.spent.load(Ordering::Relaxed))
     }
 
-    /// Attach a request-scoped trace: engine phases and notes recorded
-    /// through this control (and its clones) land in `trace`.
-    pub fn traced(mut self, trace: Arc<ReqTrace>) -> Ctl {
-        self.trace = Some(trace);
-        self
-    }
-
-    /// The attached request trace, if any.
-    pub fn req_trace(&self) -> Option<&Arc<ReqTrace>> {
-        self.trace.as_ref()
-    }
-
-    /// Record a counter-style event into the request trace. One branch
-    /// when no trace is attached.
-    #[inline]
-    pub fn note(&self, name: &'static str, n: u64) {
-        if let Some(t) = &self.trace {
-            t.note(name, n);
-        }
-    }
-
-    /// Open a timed phase in the request trace (inert guard when no
-    /// trace is attached).
-    #[inline]
-    #[must_use = "the phase records its duration when the guard drops"]
-    pub fn phase(&self, name: &'static str) -> PhaseGuard {
-        match &self.trace {
-            Some(t) => t.phase(name),
-            None => PhaseGuard { trace: None },
-        }
-    }
-
-    /// The deadline, if any.
-    pub fn deadline(&self) -> Option<Instant> {
-        self.deadline
-    }
-
     /// True when no check can ever fail — lets hot loops skip the
     /// periodic check entirely for the unbounded control.
     #[inline]
@@ -406,41 +278,6 @@ mod tests {
         assert_eq!(ctl.check(), Err(QueryErr::DeadlineExceeded));
         let future = Ctl::with_deadline(Instant::now() + Duration::from_secs(3600));
         future.check().unwrap();
-    }
-
-    #[test]
-    fn req_trace_records_notes_and_phases() {
-        let trace = Arc::new(ReqTrace::new());
-        let ctl = Ctl::unbounded().traced(Arc::clone(&trace));
-        assert!(ctl.is_unbounded(), "a trace alone never makes checks fail");
-        ctl.note("nodes", 7);
-        {
-            let _p = ctl.phase("extract");
-            ctl.note("rows", 42);
-        }
-        let (events, dropped) = trace.events();
-        assert_eq!(dropped, 0);
-        assert_eq!(events.len(), 3);
-        assert_eq!((events[0].name, events[0].n, events[0].dur_us), ("nodes", 7, None));
-        assert_eq!((events[1].name, events[1].n), ("rows", 42));
-        assert_eq!(events[2].name, "extract");
-        assert!(events[2].dur_us.is_some(), "phase carries a duration");
-        // Untraced controls are one-branch no-ops.
-        let bare = Ctl::unbounded();
-        bare.note("ignored", 1);
-        let _p = bare.phase("ignored");
-        assert!(bare.req_trace().is_none());
-    }
-
-    #[test]
-    fn req_trace_caps_events() {
-        let trace = Arc::new(ReqTrace::new());
-        for i in 0..(TRACE_EVENT_CAP + 10) {
-            trace.note("e", i as u64);
-        }
-        let (events, dropped) = trace.events();
-        assert_eq!(events.len(), TRACE_EVENT_CAP);
-        assert_eq!(dropped, 10);
     }
 
     #[test]

@@ -178,9 +178,6 @@ impl Default for EngineCache {
 
 impl Drop for EngineCache {
     fn drop(&mut self) {
-        if !wet_obs::enabled() {
-            return;
-        }
         for (i, kind) in CACHE_KIND_NAMES.iter().enumerate() {
             wet_obs::counter_add("query.cache.hits", kind, self.stats.hits[i]);
             wet_obs::counter_add("query.cache.misses", kind, self.stats.misses[i]);
@@ -467,10 +464,8 @@ pub fn value_trace_ctl(
     ctl: &Ctl,
 ) -> Result<Vec<(u64, i64)>, QueryErr> {
     let _span = wet_obs::span!("query.value_trace");
-    let _p = ctl.phase("engine.value_trace");
     let nodes = nodes_with_stmt(wet, stmt);
     wet_obs::hist_record("query.node_fanout", "value_trace", nodes.len() as u64);
-    ctl.note("nodes", nodes.len() as u64);
     let threads = par::effective_threads(num_threads);
     let parts = par::map(threads, &nodes, |_, &node| {
         ctl.check()?;
@@ -479,7 +474,7 @@ pub fn value_trace_ctl(
     let parts: Vec<Vec<(u64, i64)>> = parts.into_iter().collect::<Result<_, _>>()?;
     let mut out: Vec<(u64, i64)> = parts.into_iter().flatten().collect();
     out.sort_unstable_by_key(|&(ts, _)| ts);
-    ctl.note("rows", out.len() as u64);
+    wet_obs::hist_record("query.rows", "value_trace", out.len() as u64);
     Ok(out)
 }
 
@@ -523,7 +518,6 @@ pub fn value_trace_partial(
     ctl: &Ctl,
 ) -> Result<(Vec<(u64, i64)>, Degraded), QueryErr> {
     let _span = wet_obs::span!("query.value_trace_partial");
-    let _p = ctl.phase("engine.value_trace_partial");
     let mut deg = Degraded::default();
     let mut covered: Vec<NodeId> = Vec::new();
     for n in nodes_with_stmt(wet, stmt) {
@@ -537,7 +531,7 @@ pub fn value_trace_partial(
         }
         covered.push(n);
     }
-    ctl.note("nodes", covered.len() as u64);
+    wet_obs::hist_record("query.node_fanout", "value_trace_partial", covered.len() as u64);
     let threads = par::effective_threads(num_threads);
     let parts = par::map(threads, &covered, |_, &node| {
         ctl.check()?;
@@ -558,7 +552,7 @@ pub fn value_trace_partial(
         }
     }
     out.sort_unstable_by_key(|&(ts, _)| ts);
-    ctl.note("rows", out.len() as u64);
+    wet_obs::hist_record("query.rows", "value_trace_partial", out.len() as u64);
     Ok((out, deg))
 }
 
@@ -577,7 +571,6 @@ pub fn address_trace_partial(
     ctl: &Ctl,
 ) -> Result<(Vec<(u64, u64)>, Degraded), QueryErr> {
     let _span = wet_obs::span!("query.address_trace_partial");
-    let _p = ctl.phase("engine.address_trace_partial");
     let mut deg = Degraded::default();
     let Some(op) = addr_operand(program, stmt) else {
         return Ok((Vec::new(), deg));
@@ -595,14 +588,14 @@ pub fn address_trace_partial(
         }
         covered.push(n);
     }
-    ctl.note("nodes", covered.len() as u64);
+    wet_obs::hist_record("query.node_fanout", "address_trace_partial", covered.len() as u64);
     let threads = par::effective_threads(num_threads);
-    let parts = par::map_ctx(threads, &covered, || TracedCache::new(EngineCache::for_wet(wet), ctl), |cache, _, &node| {
+    let parts = par::map_ctx(threads, &covered, || EngineCache::for_wet(wet), |cache, _, &node| {
         ctl.check()?;
         if ctl.wall_exhausted() {
             return Ok(None);
         }
-        addresses_in_node(wet, &mut cache.cache, ctl, node, stmt, op).map(Some)
+        addresses_in_node(wet, cache, ctl, node, stmt, op).map(Some)
     });
     let mut out: Vec<(u64, u64)> = Vec::new();
     for part in parts {
@@ -614,7 +607,7 @@ pub fn address_trace_partial(
         }
     }
     out.sort_unstable_by_key(|&(ts, _)| ts);
-    ctl.note("rows", out.len() as u64);
+    wet_obs::hist_record("query.rows", "address_trace_partial", out.len() as u64);
     Ok((out, deg))
 }
 
@@ -650,48 +643,21 @@ pub fn address_trace_ctl(
     ctl: &Ctl,
 ) -> Result<Vec<(u64, u64)>, QueryErr> {
     let _span = wet_obs::span!("query.address_trace");
-    let _p = ctl.phase("engine.address_trace");
     let Some(op) = addr_operand(program, stmt) else {
         return Ok(Vec::new());
     };
     let nodes = nodes_with_stmt(wet, stmt);
     wet_obs::hist_record("query.node_fanout", "address_trace", nodes.len() as u64);
-    ctl.note("nodes", nodes.len() as u64);
     let threads = par::effective_threads(num_threads);
-    let parts = par::map_ctx(threads, &nodes, || TracedCache::new(EngineCache::for_wet(wet), ctl), |cache, _, &node| {
+    let parts = par::map_ctx(threads, &nodes, || EngineCache::for_wet(wet), |cache, _, &node| {
         ctl.check()?;
-        addresses_in_node(wet, &mut cache.cache, ctl, node, stmt, op)
+        addresses_in_node(wet, cache, ctl, node, stmt, op)
     });
     let parts: Vec<Vec<(u64, u64)>> = parts.into_iter().collect::<Result<_, _>>()?;
     let mut out: Vec<(u64, u64)> = parts.into_iter().flatten().collect();
     out.sort_unstable_by_key(|&(ts, _)| ts);
-    ctl.note("rows", out.len() as u64);
+    wet_obs::hist_record("query.rows", "address_trace", out.len() as u64);
     Ok(out)
-}
-
-/// An [`EngineCache`] that, when the request is traced, reports its
-/// lifetime hit/miss totals into the request trace as it drops (one
-/// event pair per worker) — per-request cache-hit state for the access
-/// log without touching the global registry on the hot path.
-struct TracedCache {
-    cache: EngineCache,
-    ctl: Ctl,
-}
-
-impl TracedCache {
-    fn new(cache: EngineCache, ctl: &Ctl) -> TracedCache {
-        TracedCache { cache, ctl: ctl.clone() }
-    }
-}
-
-impl Drop for TracedCache {
-    fn drop(&mut self) {
-        if self.ctl.req_trace().is_some() {
-            let s = &self.cache.stats;
-            self.ctl.note("cache.hits", s.hits.iter().sum());
-            self.ctl.note("cache.misses", s.misses.iter().sum());
-        }
-    }
 }
 
 /// Whole-trace address extraction for many statements at once over

@@ -22,7 +22,7 @@ pub use cftrace::{
     cf_trace_backward, cf_trace_backward_ctl, cf_trace_forward, cf_trace_forward_ctl, cf_trace_forward_partial,
     cf_trace_from, expand_blocks, locate_ts, trace_bytes, CfStep,
 };
-pub use ctl::{Budget, Ctl, PhaseGuard, QueryErr, ReqTrace, TraceEvent, CHECK_INTERVAL, TRACE_EVENT_CAP};
+pub use ctl::{Budget, Ctl, QueryErr, CHECK_INTERVAL};
 pub use engine::{
     address_trace, address_trace_ctl, address_trace_partial, value_trace, value_trace_ctl, value_trace_partial,
 };

@@ -145,7 +145,6 @@ fn backward_walk(
     ctl: &Ctl,
     mut deg: Option<&mut Degraded>,
 ) -> Result<WetSlice, QueryErr> {
-    let _p = ctl.phase("engine.backward_slice");
     let mut cur = Cursor::new(wet);
     let mut visited: HashSet<WetSliceElem> = HashSet::new();
     let mut stamped = BTreeSet::new();
@@ -172,7 +171,7 @@ fn backward_walk(
             }
         }
     }
-    ctl.note("slice.elems", visited.len() as u64);
+    wet_obs::hist_record("query.rows", "backward_slice", visited.len() as u64);
     Ok(WetSlice { elems: visited.into_iter().collect(), stamped })
 }
 

@@ -21,6 +21,11 @@
 //!   human-readable phase tree + metrics table ([`Report::render_pretty`]),
 //!   JSON ([`Report::render_json`], validated by [`json`]), or
 //!   Prometheus text exposition format ([`Report::render_prometheus`]).
+//! * **Capture** ([`capture`]) — a per-request sink: while its guard is
+//!   live, every span, counter increment and histogram observation made
+//!   on the thread (and on workers it hands off to) is also kept as an
+//!   [`Event`], up to [`CAPTURE_CAP`], whether or not profiling is
+//!   enabled. `wet-serve`'s access and slow-query logs read it.
 //!
 //! ## Enablement and overhead
 //!
@@ -28,10 +33,11 @@
 //! on (the CLI's `--profile` flag); [`scoped_enable`] switches on only
 //! the current thread *and the worker threads it hands off to* — which
 //! is what keeps concurrently running tests from polluting each other's
-//! registries. When disabled, every instrumentation site reduces to one
-//! relaxed atomic load plus one thread-local read; no allocation, no
-//! locking, no timestamping. The `compress_scaling` bench runs with
-//! profiling disabled and must not measurably regress.
+//! registries. When disabled and no capture is live, every
+//! instrumentation site reduces to one relaxed atomic load plus two
+//! thread-local reads; no allocation, no locking, no timestamping. The
+//! `compress_scaling` bench runs with profiling disabled and must not
+//! measurably regress.
 //!
 //! ## Determinism
 //!
@@ -60,6 +66,7 @@
 //! wet_obs::reset();
 //! ```
 
+mod capture;
 pub mod json;
 mod metrics;
 mod report;
@@ -69,10 +76,11 @@ pub use metrics::{
     counter_add, counter_handle, gauge_handle, gauge_max, gauge_set, hist_handle, hist_record, Counter, Gauge, Hist,
     LiveHist, HIST_BUCKETS,
 };
+pub use capture::{capture, Capture, Event, CAPTURE_CAP};
 pub use report::Report;
 pub use span::{
-    attach, current_span_id, disable, enable, enabled, handoff, reset, scoped_enable, snapshot, span_dynamic,
-    span_named, AttachGuard, Handoff, ScopedEnable, SpanGuard, SpanRec,
+    attach, disable, enable, enabled, handoff, reset, scoped_enable, snapshot, span_dynamic, span_named,
+    AttachGuard, Handoff, ScopedEnable, SpanGuard, SpanRec,
 };
 
 /// Opens a span: `span!("tier2.compress")` for static names, or
@@ -92,17 +100,27 @@ macro_rules! span {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::span::recording;
 
     /// The global registry is shared: every test in this module runs
-    /// under the same lock-step scoped enable + reset discipline.
-    fn isolated<R>(f: impl FnOnce() -> R) -> R {
+    /// under the same lock-step reset discipline, and all but the
+    /// capture tests under a scoped enable.
+    fn locked<R>(f: impl FnOnce() -> R) -> R {
         static LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
         let _l = LOCK.lock().unwrap_or_else(|e| e.into_inner());
-        let _s = scoped_enable();
         reset();
         let r = f();
         reset();
         r
+    }
+
+    fn isolated<R>(f: impl FnOnce() -> R) -> R {
+        let _s = scoped_enable();
+        locked(f)
+    }
+
+    fn names(cap: &Capture) -> Vec<String> {
+        cap.events().0.iter().map(|e| e.name.to_string()).collect()
     }
 
     #[test]
@@ -148,7 +166,7 @@ mod tests {
             let t = std::thread::spawn(move || {
                 // A plain spawned thread: not enabled until attached.
                 assert!(!enabled());
-                let _g = attach(h);
+                let _g = attach(&h);
                 assert!(enabled());
                 let _w = span!("worker");
                 counter_add("work.items", "", 4);
@@ -232,5 +250,75 @@ mod tests {
             assert!(r.spans.is_empty());
             assert!(r.counters.is_empty());
         });
+    }
+
+    #[test]
+    fn capture_records_with_profiling_off() {
+        locked(|| {
+            let cap = capture();
+            assert!(!enabled() && recording());
+            {
+                let _a = span!("cap.phase");
+                counter_add("cap.counter", "x", 3);
+                hist_record("cap.hist", "", 5);
+            }
+            let (events, dropped) = cap.events();
+            let got: Vec<_> = events.iter().map(|e| (e.name.as_ref(), e.n, e.dur_us.is_some())).collect();
+            assert_eq!(got, [("cap.counter", 3, false), ("cap.hist", 5, false), ("cap.phase", 0, true)]);
+            assert_eq!(dropped, 0);
+            let r = snapshot();
+            assert!(r.spans.is_empty() && r.counter("cap.counter", "x") == 0, "the collector stays empty");
+            assert!(!r.hists.keys().any(|(n, _)| n == "cap.hist"));
+            drop(cap);
+            assert!(!recording());
+        });
+    }
+
+    #[test]
+    fn captures_on_two_threads_do_not_mix() {
+        let run = |tag: &'static str| {
+            std::thread::spawn(move || {
+                let cap = capture();
+                for _ in 0..50 {
+                    let _s = span_dynamic(|| tag.to_string());
+                    counter_add(tag, "", 1);
+                }
+                names(&cap)
+            })
+        };
+        let (a, b) = (run("cap.a"), run("cap.b"));
+        assert_eq!(a.join().unwrap(), vec!["cap.a"; 100]);
+        assert_eq!(b.join().unwrap(), vec!["cap.b"; 100]);
+    }
+
+    #[test]
+    fn handoff_carries_the_capture_to_workers() {
+        let cap = capture();
+        let h = handoff();
+        std::thread::scope(|s| {
+            for _ in 0..2 {
+                s.spawn(|| {
+                    assert!(!recording(), "a plain spawned thread captures nothing");
+                    let _g = attach(&h);
+                    let _w = span!("cap.worker");
+                    counter_add("cap.items", "", 4);
+                });
+            }
+        });
+        counter_add("cap.after", "", 1);
+        let mut got = names(&cap);
+        got.sort();
+        assert_eq!(got, ["cap.after", "cap.items", "cap.items", "cap.worker", "cap.worker"]);
+    }
+
+    #[test]
+    fn capture_counts_events_past_the_cap() {
+        let cap = capture();
+        for i in 0..(CAPTURE_CAP + 10) {
+            hist_record("cap.e", "", i as u64);
+        }
+        let (events, dropped) = cap.events();
+        assert_eq!((events.len(), dropped), (CAPTURE_CAP, 10));
+        assert_eq!(events.last().map(|e| e.n), Some(CAPTURE_CAP as u64 - 1), "the first events are kept");
     }
 }

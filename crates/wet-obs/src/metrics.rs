@@ -17,10 +17,12 @@
 //! site, unconditionally live (handles are for always-on operational
 //! metrics, so they bypass the `enabled()` profiling gate).
 
+use std::borrow::Cow;
 use std::collections::{BTreeMap, HashMap};
 use std::sync::atomic::{AtomicI64, AtomicU64, Ordering::Relaxed};
 use std::sync::{Arc, LazyLock, RwLock, RwLockReadGuard, RwLockWriteGuard};
 
+use crate::capture;
 use crate::span::enabled;
 
 /// Number of histogram buckets: bucket `i` counts values `<= 2^i`, and
@@ -199,10 +201,15 @@ fn update<T: Default>(pick: fn(&Registry) -> &Family<T>, pick_mut: fn(&mut Regis
     f(&cell(pick, pick_mut, name, label));
 }
 
-/// Add `delta` to the counter `name{label}`. No-op when profiling is
-/// disabled on this thread. Use `""` for unlabeled counters.
+/// Add `delta` to the counter `name{label}`. A live capture keeps the
+/// increment; the registry gets it only when profiling is enabled on
+/// this thread. Use `""` for unlabeled counters.
 pub fn counter_add(name: &str, label: &str, delta: u64) {
-    if !enabled() || delta == 0 {
+    if delta == 0 {
+        return;
+    }
+    capture::record(|| Cow::Owned(name.to_owned()), delta, None);
+    if !enabled() {
         return;
     }
     update(|r| &r.counters, |r| &mut r.counters, name, label, |c| {
@@ -235,9 +242,11 @@ pub fn gauge_max(name: &str, label: &str, value: i64) {
     });
 }
 
-/// Record one observation into the histogram `name{label}`. No-op when
-/// profiling is disabled on this thread.
+/// Record one observation into the histogram `name{label}`. A live
+/// capture keeps it; the registry gets it only when profiling is
+/// enabled on this thread.
 pub fn hist_record(name: &str, label: &str, value: u64) {
+    capture::record(|| Cow::Owned(name.to_owned()), value, None);
     if !enabled() {
         return;
     }

@@ -10,14 +10,16 @@
 //! (used by `wet-cli --profile`), while [`scoped_enable`] flips only a
 //! thread-local flag that [`Handoff`]/[`attach`] propagate to worker
 //! threads. Tests use the scoped form so concurrently running tests in
-//! one binary don't record into each other's snapshots.
+//! one binary don't record into each other's snapshots. A live
+//! [`crate::capture`] also keeps every finished span, enabled or not.
 
 use std::borrow::Cow;
 use std::cell::{Cell, RefCell};
 use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, Ordering};
-use std::sync::{Mutex, OnceLock};
+use std::sync::{Arc, Mutex, OnceLock};
 use std::time::Instant;
 
+use crate::capture::{self, Sink, SINK};
 use crate::metrics;
 use crate::report::Report;
 
@@ -66,19 +68,16 @@ impl Drop for Buf {
 const MAX_SPANS: usize = 1 << 16;
 
 fn flush_vec(recs: &mut Vec<SpanRec>) {
-    if !recs.is_empty() {
-        let mut g = SPANS.lock().unwrap_or_else(|e| e.into_inner());
-        let room = MAX_SPANS.saturating_sub(g.len());
-        if recs.len() > room {
-            let dropped = (recs.len() - room) as u64;
-            recs.truncate(room);
-            drop(g);
-            metrics::counter_add("obs.spans_dropped", "", dropped);
-            g = SPANS.lock().unwrap_or_else(|e| e.into_inner());
-        }
-        g.append(recs);
-        recs.clear();
+    if recs.is_empty() {
+        return;
     }
+    let mut g = SPANS.lock().unwrap_or_else(|e| e.into_inner());
+    let room = MAX_SPANS.saturating_sub(g.len());
+    let dropped = recs.len().saturating_sub(room) as u64;
+    recs.truncate(room);
+    g.append(recs);
+    drop(g);
+    metrics::counter_add("obs.spans_dropped", "", dropped);
 }
 
 thread_local! {
@@ -91,10 +90,17 @@ thread_local! {
     static BUF: RefCell<Buf> = const { RefCell::new(Buf { recs: Vec::new() }) };
 }
 
-/// True when this thread should record spans and metrics.
+/// True when this thread's spans and metrics reach the global collector.
 #[inline]
 pub fn enabled() -> bool {
     ENABLED.load(Ordering::Relaxed) || SCOPED.with(|c| c.get())
+}
+
+/// True when a record made on this thread goes anywhere: profiling is
+/// enabled or a [`crate::capture`] is live.
+#[inline]
+pub(crate) fn recording() -> bool {
+    enabled() || capture::active()
 }
 
 /// Turn profiling on for the whole process (every thread records).
@@ -139,29 +145,24 @@ fn thread_id() -> u32 {
     })
 }
 
-/// Id of the innermost open span on this thread (0 if none). New spans
-/// and [`handoff`] use it as the parent link.
-pub fn current_span_id() -> u64 {
-    CURRENT.with(|c| c.get())
-}
-
 /// Open a span with a pre-built name. Prefer the [`span!`](crate::span!)
-/// macro, which skips name construction when profiling is disabled.
+/// macro, which skips name construction when nothing records.
 #[must_use = "the span closes (records its duration) when the guard drops"]
 pub fn span_named(name: Cow<'static, str>) -> SpanGuard {
-    if !enabled() {
+    let global = enabled();
+    if !global && !capture::active() {
         return SpanGuard { state: None };
     }
     let id = NEXT_SPAN_ID.fetch_add(1, Ordering::Relaxed);
     let parent = CURRENT.with(|c| c.replace(id));
-    SpanGuard { state: Some(SpanState { id, parent, name, start_ns: now_ns() }) }
+    SpanGuard { state: Some(SpanState { id, parent, name, start_ns: now_ns(), global }) }
 }
 
 /// Open a span whose name is built lazily — `f` runs only when
-/// profiling is enabled. Used by `span!` with format arguments.
+/// something records. Used by `span!` with format arguments.
 #[must_use = "the span closes (records its duration) when the guard drops"]
 pub fn span_dynamic(f: impl FnOnce() -> String) -> SpanGuard {
-    if !enabled() {
+    if !recording() {
         return SpanGuard { state: None };
     }
     span_named(Cow::Owned(f()))
@@ -172,10 +173,13 @@ struct SpanState {
     parent: u64,
     name: Cow<'static, str>,
     start_ns: u64,
+    /// Whether the span goes to the global collector too.
+    global: bool,
 }
 
-/// An open span; records its duration into the thread-local buffer on
-/// drop. Inert (a single `None`) when profiling is disabled.
+/// An open span; on drop, records its duration into the live capture
+/// and, when profiling is enabled, the thread-local buffer. Inert (a
+/// single `None`) when nothing records.
 pub struct SpanGuard {
     state: Option<SpanState>,
 }
@@ -185,6 +189,10 @@ impl Drop for SpanGuard {
         if let Some(s) = self.state.take() {
             let dur_ns = now_ns().saturating_sub(s.start_ns);
             CURRENT.with(|c| c.set(s.parent));
+            capture::record(|| s.name.clone(), 0, Some(dur_ns / 1000));
+            if !s.global {
+                return;
+            }
             BUF.with(|b| {
                 b.borrow_mut().recs.push(SpanRec {
                     id: s.id,
@@ -200,28 +208,31 @@ impl Drop for SpanGuard {
 }
 
 /// Recording context to carry onto a worker thread: whether the
-/// spawning thread records, and its innermost open span (so worker
-/// spans link into the right place in the tree). `Copy`, so one
-/// handoff can seed every worker of a pool.
-#[derive(Debug, Clone, Copy)]
+/// spawning thread records, its innermost open span (so worker spans
+/// link into the right place in the tree), and its live capture. One
+/// handoff, shared by reference, seeds every worker of a pool.
+#[derive(Debug)]
 pub struct Handoff {
     enabled: bool,
     parent: u64,
+    capture: Option<Arc<Sink>>,
 }
 
 /// Capture the current thread's recording context for a worker thread.
 pub fn handoff() -> Handoff {
-    Handoff { enabled: enabled(), parent: current_span_id() }
+    Handoff { enabled: enabled(), parent: CURRENT.get(), capture: SINK.with_borrow(Clone::clone) }
 }
 
 /// Adopt a [`Handoff`] on this thread until the guard drops: inherit
-/// the spawner's enablement and parent span. Cheap no-op handoffs are
-/// fine — a disabled handoff only clears the inherited parent.
+/// the spawner's enablement, parent span and capture. Cheap no-op
+/// handoffs are fine — a disabled handoff only clears the inherited
+/// parent.
 #[must_use = "the handoff is detached when the guard drops"]
-pub fn attach(h: Handoff) -> AttachGuard {
+pub fn attach(h: &Handoff) -> AttachGuard {
     let prev_scoped = SCOPED.with(|c| c.replace(h.enabled));
     let prev_parent = CURRENT.with(|c| c.replace(h.parent));
-    AttachGuard { prev_scoped, prev_parent }
+    let prev_capture = SINK.replace(h.capture.clone());
+    AttachGuard { prev_scoped, prev_parent, prev_capture }
 }
 
 /// Guard for [`attach`]; flushes this thread's buffered spans and
@@ -229,12 +240,14 @@ pub fn attach(h: Handoff) -> AttachGuard {
 pub struct AttachGuard {
     prev_scoped: bool,
     prev_parent: u64,
+    prev_capture: Option<Arc<Sink>>,
 }
 
 impl Drop for AttachGuard {
     fn drop(&mut self) {
         SCOPED.with(|c| c.set(self.prev_scoped));
         CURRENT.with(|c| c.set(self.prev_parent));
+        SINK.set(self.prev_capture.take());
         BUF.with(|b| flush_vec(&mut b.borrow_mut().recs));
     }
 }

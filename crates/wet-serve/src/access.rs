@@ -164,14 +164,15 @@ impl AccessRecord {
     }
 
     /// The slow-query variant: the access fields plus the request's
-    /// span tree (`events`) and how many events the cap discarded.
-    pub fn to_slow_value(&self, events: &[wet_core::query::TraceEvent], dropped: u64) -> Value {
+    /// captured spans and metric records (`events`) and how many events
+    /// the capture cap discarded.
+    pub fn to_slow_value(&self, events: &[wet_obs::Event], dropped: u64) -> Value {
         let evs = events
             .iter()
             .map(|e| {
                 let mut fields = vec![
                     ("t_us", Value::Int(e.t_us as i64)),
-                    ("name", Value::Str(e.name.into())),
+                    ("name", Value::Str(e.name.to_string())),
                     ("n", Value::Int(e.n as i64)),
                 ];
                 if let Some(d) = e.dur_us {
@@ -338,15 +339,15 @@ mod tests {
 
     #[test]
     fn slow_record_carries_span_events() {
-        let trace = std::sync::Arc::new(wet_core::query::ReqTrace::new());
-        trace.note("cf.steps", 77);
-        let (events, dropped) = trace.events();
+        let cap = wet_obs::capture();
+        wet_obs::hist_record("query.rows", "cf_trace_forward", 77);
+        let (events, dropped) = cap.events();
         let rec = AccessRecord { op: "cf_trace".into(), outcome: "ok".into(), ..Default::default() };
         let v = json::parse(&rec.to_slow_value(&events, dropped).render()).unwrap();
         assert_eq!(v.get("schema").and_then(|s| s.as_str()), Some("wet-slow/1"));
         let evs = v.get("events").and_then(|e| e.as_arr()).unwrap();
         assert_eq!(evs.len(), 1);
-        assert_eq!(evs[0].get("name").and_then(|s| s.as_str()), Some("cf.steps"));
+        assert_eq!(evs[0].get("name").and_then(|s| s.as_str()), Some("query.rows"));
         assert_eq!(evs[0].get("n").and_then(|s| s.as_u64()), Some(77));
         assert_eq!(v.get("events_dropped").and_then(|s| s.as_u64()), Some(0));
     }

@@ -50,4 +50,4 @@ pub use drill::{run_drill, run_idle_storm, DrillReport, IdleStormReport};
 pub use flight::{Flight, FlightEvent, FlightKind, FLIGHT_SLOTS};
 pub use pressure::{Pressure, PressureLevel, PressureOptions, Signals};
 pub use http::{bind_metrics, http_get, http_get_with, is_timeout, spawn_metrics};
-pub use server::{bind, connect, Listener, Server, ServeOptions, Stream, DEFAULT_TRACE};
+pub use server::{bind, completed, connect, Listener, Server, ServeOptions, Stream, DEFAULT_TRACE, OUTCOMES};

@@ -36,7 +36,7 @@ use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex, PoisonError, RwLock};
 use std::time::{Duration, Instant};
-use wet_core::query::{self, Budget, Ctl, QueryErr, ReqTrace};
+use wet_core::query::{self, Budget, Ctl, QueryErr};
 use wet_core::store::{
     resolve_under, sections_for_address_trace, sections_for_op, StoreErr, StoreOptions, StoredTrace, TraceStore,
 };
@@ -115,47 +115,37 @@ impl Default for ServeOptions {
     }
 }
 
-/// Request outcome counters, mirrored into wet-obs as
-/// `serve.requests_*` when profiling is enabled.
-#[derive(Debug, Default)]
-struct Counters {
-    ok: AtomicU64,
-    shed: AtomicU64,
-    cancelled: AtomicU64,
-    deadline: AtomicU64,
-    panic: AtomicU64,
-    corrupt: AtomicU64,
-    bad_request: AtomicU64,
+/// The seven-way partition of completed requests: each row is a
+/// `stats` key and the wet-obs counter it is mirrored to when profiling
+/// is enabled. Every completed request counts in exactly one row.
+pub const OUTCOMES: [(&str, &str); 7] = [
+    ("ok", "serve.requests_ok"),
+    ("shed", "serve.requests_shed"),
+    ("cancelled", "serve.requests_cancelled"),
+    ("deadline", "serve.requests_deadline"),
+    ("panic", "serve.requests_panic"),
+    ("corrupt", "serve.requests_corrupt"),
+    ("bad_request", "serve.requests_bad"),
+];
+
+/// Completed requests in a `stats` reply: the sum over [`OUTCOMES`].
+pub fn completed(stats: &Value) -> i64 {
+    OUTCOMES.iter().map(|(k, _)| stats.get(k).and_then(Value::as_i64).unwrap_or(0)).sum()
 }
+
+/// Request outcome counters, one per [`OUTCOMES`] row.
+#[derive(Debug, Default)]
+struct Counters([AtomicU64; OUTCOMES.len()]);
 
 impl Counters {
     fn bump(&self, kind: &str) {
-        let c = match kind {
-            "ok" => &self.ok,
-            // Repair-in-progress is accounted as shed: transient,
-            // retriable, not the client's fault — and the access-log
-            // ledger audit stays a seven-way partition.
-            "shed" | "repairing" => &self.shed,
-            "cancelled" => &self.cancelled,
-            "deadline" => &self.deadline,
-            "panic" => &self.panic,
-            "corrupt" => &self.corrupt,
-            _ => &self.bad_request,
-        };
-        c.fetch_add(1, Ordering::Relaxed);
-        wet_obs::counter_add(
-            match kind {
-                "ok" => "serve.requests_ok",
-                "shed" | "repairing" => "serve.requests_shed",
-                "cancelled" => "serve.requests_cancelled",
-                "deadline" => "serve.requests_deadline",
-                "panic" => "serve.requests_panic",
-                "corrupt" => "serve.requests_corrupt",
-                _ => "serve.requests_bad",
-            },
-            "",
-            1,
-        );
+        // Repair-in-progress is accounted as shed: transient, retriable,
+        // not the client's fault. Any kind outside the table is a bad
+        // request, so the partition stays seven-way.
+        let kind = if kind == "repairing" { "shed" } else { kind };
+        let row = OUTCOMES.iter().position(|&(k, _)| k == kind).unwrap_or(OUTCOMES.len() - 1);
+        self.0[row].fetch_add(1, Ordering::Relaxed);
+        wet_obs::counter_add(OUTCOMES[row].1, "", 1);
     }
 }
 
@@ -315,11 +305,11 @@ fn lock_read(wet: &RwLock<Wet>) -> std::sync::RwLockReadGuard<'_, Wet> {
 pub const DEFAULT_TRACE: &str = "default";
 
 /// Per-request operational state threaded through the pipeline: the
-/// access-log record being assembled, the optional request-scoped
-/// span, and whether the request panicked.
+/// access-log record being assembled, the optional request capture,
+/// and whether the request panicked.
 struct ReqMeta {
     rec: AccessRecord,
-    trace: Option<Arc<ReqTrace>>,
+    capture: Option<wet_obs::Capture>,
     panicked: bool,
 }
 
@@ -327,7 +317,7 @@ impl ReqMeta {
     fn new(bytes_in: u64) -> ReqMeta {
         ReqMeta {
             rec: AccessRecord { op: "?".into(), bytes_in, ..Default::default() },
-            trace: None,
+            capture: None,
             panicked: false,
         }
     }
@@ -486,6 +476,7 @@ impl Server {
         let t0 = Instant::now();
         let mut meta = ReqMeta::new(payload.len() as u64);
         let resp = self.process_inner(payload, cancel, &mut meta);
+        let captured = meta.capture.take().map(|c| c.events());
         meta.rec.total_us = t0.elapsed().as_micros() as u64;
         meta.rec.bytes_out = resp.len() as u64;
         meta.rec.pressure = sh.pressure.level().name().to_owned();
@@ -497,12 +488,11 @@ impl Server {
             &meta.rec.outcome,
             meta.rec.total_us,
         );
-        if let Some(rt) = &meta.trace {
-            let (events, dropped) = rt.events();
+        if let Some((events, dropped)) = captured {
             for e in &events {
-                match e.name {
-                    "cache.hits" => meta.rec.cache_hits += e.n,
-                    "cache.misses" => meta.rec.cache_misses += e.n,
+                match e.name.as_ref() {
+                    "query.cache.hits" => meta.rec.cache_hits += e.n,
+                    "query.cache.misses" => meta.rec.cache_misses += e.n,
                     _ => {}
                 }
             }
@@ -583,11 +573,9 @@ impl Server {
             .and_then(Value::as_u64)
             .map(|ms| Instant::now() + Duration::from_millis(ms));
         let mut ctl = Ctl::with_cancel(cancel.clone(), deadline);
-        // Request-scoped span: only paid for when a log wants it.
+        // Request capture: only paid for when a log wants it.
         if sh.access.is_some() || sh.slow.is_some() {
-            let rt = Arc::new(ReqTrace::new());
-            ctl = ctl.traced(rt.clone());
-            meta.trace = Some(rt);
+            meta.capture = Some(wet_obs::capture());
         }
         let tenant = req.get("tenant").and_then(Value::as_str).unwrap_or("").to_owned();
         meta.rec.tenant = tenant.clone();
@@ -1065,15 +1053,12 @@ impl Server {
         let st = sh.adm.st.lock().unwrap_or_else(PoisonError::into_inner);
         let (active, queued) = (st.active, st.queued);
         drop(st);
-        let c = &sh.counters;
-        let mut pairs = vec![
-            ("ok", Value::Int(c.ok.load(Ordering::Relaxed) as i64)),
-            ("shed", Value::Int(c.shed.load(Ordering::Relaxed) as i64)),
-            ("cancelled", Value::Int(c.cancelled.load(Ordering::Relaxed) as i64)),
-            ("deadline", Value::Int(c.deadline.load(Ordering::Relaxed) as i64)),
-            ("panic", Value::Int(c.panic.load(Ordering::Relaxed) as i64)),
-            ("corrupt", Value::Int(c.corrupt.load(Ordering::Relaxed) as i64)),
-            ("bad_request", Value::Int(c.bad_request.load(Ordering::Relaxed) as i64)),
+        let mut pairs: Vec<(&str, Value)> = OUTCOMES
+            .iter()
+            .zip(&sh.counters.0)
+            .map(|(&(k, _), c)| (k, Value::Int(c.load(Ordering::Relaxed) as i64)))
+            .collect();
+        pairs.extend([
             ("active", Value::Int(active as i64)),
             ("queued", Value::Int(queued as i64)),
             ("draining", Value::Bool(self.draining())),
@@ -1085,7 +1070,7 @@ impl Server {
                 Value::Int(sh.pressure.queue_delay_p99_us().min(i64::MAX as u64) as i64),
             ),
             ("retry_after_ms", Value::Int(sh.pressure.retry_after_ms() as i64)),
-        ];
+        ]);
         let mut ops = Vec::new();
         for (name, h) in &sh.oplat.hists {
             let hist = h.load();
@@ -1283,8 +1268,10 @@ impl Server {
                 let inflight = inflight.clone();
                 workers.push(std::thread::spawn(move || {
                     let resp = srv.process(&payload, &cancel);
-                    write_response(&writer, &resp);
+                    // Free the id before the reply goes out: a client may
+                    // reuse it as soon as it reads the reply.
                     inflight.lock().unwrap_or_else(PoisonError::into_inner).remove(&id);
+                    write_response(&writer, &resp);
                 }));
                 workers.retain(|h| !h.is_finished());
                 return;

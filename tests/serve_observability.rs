@@ -20,6 +20,8 @@ use std::sync::Arc;
 use wet::prelude::*;
 use wet::workloads::Kind;
 use wet_core::Wet;
+use wet_ir::program::StmtRef;
+use wet_ir::stmt::{Operand, StmtKind};
 use wet_ir::StmtId;
 use wet_serve::json::{self, Value};
 use wet_serve::{Server, ServeOptions};
@@ -62,10 +64,48 @@ fn frame(id: u64, pairs: Vec<(&str, Value)>) -> Vec<u8> {
     json::obj(all).render().into_bytes()
 }
 
+/// The `query.*` span the engine records for a pool request: the one
+/// `--profile` prints and the slow log carries.
+fn engine_span(req: &[(&str, Value)]) -> String {
+    let field = |k: &str| req.iter().find(|(f, _)| *f == k).map(|(_, v)| v);
+    let base = match field("op").and_then(|v| v.as_str()) {
+        Some("cf_trace") if field("dir").and_then(|v| v.as_str()) == Some("backward") => "cf_trace_backward",
+        Some("cf_trace") => "cf_trace_forward",
+        Some("slice") => "backward_slice",
+        Some(op) => op,
+        None => panic!("pool request without an op"),
+    };
+    let partial = field("strict").and_then(|v| v.as_bool()) == Some(false);
+    format!("query.{base}{}", if partial { "_partial" } else { "" })
+}
+
+/// Load/store statements whose address comes from a register and that
+/// run in two or more nodes, so their address traces fan out over the
+/// engine's worker pool and read producer values through its caches.
+fn register_address_stmts(wet: &Wet, program: &wet_ir::Program) -> Vec<StmtId> {
+    let mut stmts: Vec<StmtId> = wet.nodes().iter().flat_map(|n| n.stmts.iter().map(|s| s.id)).collect();
+    stmts.sort_unstable();
+    stmts.dedup();
+    stmts.retain(|&s| {
+        let reg_addr = matches!(
+            program.stmt_ref(s),
+            StmtRef::Stmt(st) if matches!(
+                st.kind,
+                StmtKind::Load { addr: Operand::Reg(_), .. } | StmtKind::Store { addr: Operand::Reg(_), .. }
+            )
+        );
+        reg_addr && wet.nodes().iter().filter(|n| n.stmt_pos(s).is_some()).count() >= 2
+    });
+    stmts
+}
+
 #[test]
 fn tracing_does_not_change_any_response_byte() {
     let d = tmpdir("determinism");
     let (bytes, program, stmts) = build_trace(Kind::Gcc);
+    let wet = Wet::read_from(&mut &bytes[..]).expect("trace reads");
+    let reg_addr = register_address_stmts(&wet, &program);
+    assert!(!reg_addr.is_empty(), "gcc-like has no register-address statement in two nodes");
     let pool: Vec<Vec<(&str, Value)>> = {
         let mut p: Vec<Vec<(&str, Value)>> = vec![
             vec![("op", Value::Str("cf_trace".into()))],
@@ -78,7 +118,31 @@ fn tracing_does_not_change_any_response_byte() {
                 ("stmt", Value::Int(s.0 as i64)),
             ]);
         }
+        for &s in reg_addr.iter().take(3) {
+            p.push(vec![
+                ("op", Value::Str("address_trace".into())),
+                ("stmt", Value::Int(s.0 as i64)),
+            ]);
+        }
+        let s = reg_addr[0];
+        p.push(vec![
+            ("op", Value::Str("address_trace".into())),
+            ("stmt", Value::Int(s.0 as i64)),
+            ("strict", Value::Bool(false)),
+        ]);
+        let (last, _) = wet.last();
+        let n = wet.node(last);
+        p.push(vec![
+            ("op", Value::Str("slice".into())),
+            ("node", Value::Int(i64::from(last.0))),
+            ("stmt", Value::Int(i64::from(n.stmts[0].id.0))),
+            ("k", Value::Int(i64::from(n.n_execs - 1))),
+        ]);
         p
+    };
+    let is_reg_addr = |req: &[(&str, Value)]| {
+        engine_span(req) == "query.address_trace"
+            && req.iter().any(|(f, v)| *f == "stmt" && reg_addr.iter().any(|s| v.as_u64() == Some(u64::from(s.0))))
     };
     let baseline: Vec<Vec<u8>> = {
         let server = server_from(
@@ -86,12 +150,25 @@ fn tracing_does_not_change_any_response_byte() {
             &program,
             ServeOptions { threads: 1, ..ServeOptions::default() },
         );
-        pool.iter().map(|req| server.handle_frame(&frame(1, req.clone()))).collect()
+        pool.iter()
+            .map(|req| {
+                // Profiling records the same span names the slow log shows.
+                let _obs = wet_obs::scoped_enable();
+                let got = server.handle_frame(&frame(1, req.clone()));
+                let name = engine_span(req);
+                assert!(
+                    wet_obs::snapshot().spans.iter().any(|s| s.name == name),
+                    "--profile lacks {name} for {}",
+                    json::obj(req.clone()).render()
+                );
+                got
+            })
+            .collect()
     };
-    assert!(
-        baseline.iter().any(|r| String::from_utf8_lossy(r).contains("\"ok\":true")),
-        "baseline answered nothing"
-    );
+    for (req, reply) in pool.iter().zip(&baseline) {
+        let text = String::from_utf8_lossy(reply);
+        assert!(text.contains("\"ok\":true"), "baseline failed {}: {text}", json::obj(req.clone()).render());
+    }
     for threads in [1usize, 2, 4, 8] {
         let server = server_from(
             &bytes,
@@ -113,28 +190,31 @@ fn tracing_does_not_change_any_response_byte() {
                 json::obj(req.clone()).render()
             );
         }
-        // Every request really went through the traced path.
+        // Every request really went through the traced path, and the
+        // access and slow lines come in pool order.
         let log = std::fs::read_to_string(d.join(format!("access-{threads}.log"))).unwrap();
         assert_eq!(log.lines().count(), pool.len(), "one access line per request");
         // --slow-ms 0 makes every traced data-plane request slow.
         let slow = std::fs::read_to_string(d.join(format!("slow-{threads}.log"))).unwrap();
-        assert!(!slow.is_empty(), "slow log empty under --slow-ms 0");
-        let mut cf_dirs = 0;
-        for l in slow.lines() {
-            let v = json::parse(l).expect("slow line parses");
+        assert_eq!(slow.lines().count(), pool.len(), "one slow line per data-plane request");
+        for ((req, access), slow) in pool.iter().zip(log.lines()).zip(slow.lines()) {
+            let v = json::parse(slow).expect("slow line parses");
             assert_eq!(v.get("schema").and_then(|s| s.as_str()), Some("wet-slow/1"));
-            if v.get("op").and_then(|s| s.as_str()) != Some("cf_trace") {
-                continue;
-            }
-            // Forward and backward CF traces share one walk, which
-            // records the engine phase and the step count.
-            cf_dirs += 1;
+            // Each request's engine phase is on its slow line, under the
+            // name --profile prints, with a duration.
+            let name = engine_span(req);
             let events = v.get("events").and_then(|e| e.as_arr()).expect("slow line has events");
-            let names: Vec<&str> = events.iter().filter_map(|e| e.get("name").and_then(|n| n.as_str())).collect();
-            assert!(names.contains(&"engine.cf_trace"), "cf_trace slow line lacks the engine phase: {l}");
-            assert!(names.contains(&"cf.steps"), "cf_trace slow line lacks cf.steps: {l}");
+            let phases: Vec<_> =
+                events.iter().filter(|e| e.get("name").and_then(|n| n.as_str()) == Some(name.as_str())).collect();
+            assert_eq!(phases.len(), 1, "{name} recorded once on the slow line: {slow}");
+            assert!(phases[0].get("dur_us").and_then(|d| d.as_u64()).is_some(), "{name} lacks dur_us: {slow}");
+            // Caches on par workers report into the request's capture.
+            let a = json::parse(access).expect("access line parses");
+            let cache = |k: &str| a.get(k).and_then(|n| n.as_u64()).expect("cache field");
+            if threads >= 2 && is_reg_addr(req) {
+                assert!(cache("cache_hits") + cache("cache_misses") > 0, "no cache records at {threads} threads: {access}");
+            }
         }
-        assert_eq!(cf_dirs, 2, "one slow line per CF direction");
     }
     let _ = std::fs::remove_dir_all(&d);
 }

@@ -330,6 +330,29 @@ fn concurrent_strict_clients_get_the_single_client_bytes() {
     let _ = std::fs::remove_file(&path);
 }
 
+/// A client that reuses one request id as soon as its reply arrives is
+/// never told the id is still in flight: the server frees the id
+/// before it writes the reply.
+#[test]
+fn reused_id_is_free_once_its_reply_arrives() {
+    let server = server_for(Kind::Li, 2);
+    let path = sock_path("same-id");
+    let _ = std::fs::remove_file(&path);
+    let listener = wet_serve::bind(path.to_str().expect("utf-8 path")).expect("bind");
+    let srv = server.clone();
+    let accept = std::thread::spawn(move || srv.serve(listener));
+    let ping = [frame_for(7, &[("op", Value::Str("ping".into()))])];
+    let replies = raw_replies(path.to_str().expect("utf-8 path"), &ping, std::iter::repeat_n(0, 200));
+    assert_eq!(replies.len(), 200);
+    for (n, (_, reply)) in replies.iter().enumerate() {
+        let text = String::from_utf8_lossy(reply);
+        assert!(text.contains("\"ok\":true"), "request {n} with reused id 7 failed: {text}");
+    }
+    server.begin_drain();
+    accept.join().expect("accept thread").expect("serve loop");
+    let _ = std::fs::remove_file(&path);
+}
+
 /// One client's random session against a live socket server: every
 /// reply is complete or a clean typed error.
 fn run_session(addr: &str, kind: Kind, seed: u64) -> Result<(), String> {
