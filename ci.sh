@@ -20,9 +20,6 @@ echo "==> perfbench: build and unit tests"
 CARGO_TARGET_DIR=.bench_build cargo build --release --offline --locked --manifest-path perfbench/Cargo.toml
 CARGO_TARGET_DIR=.bench_build cargo test -q --release --offline --locked --manifest-path perfbench/Cargo.toml
 
-echo "==> metrics determinism (thread counts 1/2/4/8)"
-cargo test -q --offline --locked --test parallel_determinism metrics_identical_across_thread_counts
-
 echo "==> wet-cli --profile=json emits valid JSON"
 # Two separate commands (not a pipeline): under `set -eu` a pipeline
 # only propagates the last command's status, which would mask a CLI
@@ -33,10 +30,6 @@ trap 'rm -f "$profile_json"; rm -rf "$fsck_dir"' EXIT
 cargo run -q --release --offline --locked -p wet-cli -- \
     compress examples/data/collatz.wet --inputs 27 --profile=json > "$profile_json"
 cargo run -q --release --offline --locked -p wet-obs --bin jsonv < "$profile_json"
-
-echo "==> fsck gate: seeded fault harness (750+ container mutations)"
-cargo test -q --offline --locked --test fault_injection \
-    seeded_mutations_never_break_the_decoder
 
 echo "==> fsck gate: integrity verdicts and exit codes"
 cargo run -q --release --offline --locked -p wet-cli -- \
@@ -92,9 +85,6 @@ cargo run -q --release --offline --locked -p wet-cli -- \
 cargo run -q --release --offline --locked -p wet-cli -- \
     seal "$fsck_dir/shed.wetz.seg" -o "$fsck_dir/shed.wetz" > /dev/null
 cargo run -q --release --offline --locked -p wet-cli -- fsck "$fsck_dir/shed.wetz" > /dev/null
-
-echo "==> checkpoint/resume determinism (workloads x threads x crash points)"
-cargo test -q --offline --locked --test capture_resume
 
 echo "==> replay gate: golden corpus, NDET divergence, torn-record resume"
 wet=./target/release/wet

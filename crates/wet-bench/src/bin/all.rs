@@ -1,14 +1,11 @@
-//! Runs every experiment in EXPERIMENTS.md order.
-//!
-//! With `--json`, additionally writes machine-readable compression
-//! results (sizes, ratios, and sequential-vs-parallel tier-2 times)
-//! to `results/BENCH_compression.json`, a per-workload per-phase
-//! breakdown (span wall-times + tier-2 bytes, collected through
-//! `wet-obs`) to `results/BENCH_phases.json`, and the multi-tenant
-//! store cold-open/residency report to `results/BENCH_store.json`.
+//! Runs every experiment in EXPERIMENTS.md order. Takes no arguments;
+//! scales come from the `WET_*` environment variables.
 use wet_bench::experiments as ex;
 fn main() {
-    let json = std::env::args().skip(1).any(|a| a == "--json");
+    if let Some(arg) = std::env::args().nth(1) {
+        eprintln!("error: `all` takes no arguments (got `{arg}`); set scales with WET_* variables");
+        std::process::exit(2);
+    }
     let scale = wet_bench::Scale::from_env();
     println!("WET reproduction — full experiment run");
     println!("scales: tables {} stmts, timing {} stmts, fig9 base {}, {} thread(s)\n",
@@ -25,28 +22,4 @@ fn main() {
     ex::fig8(&scale);
     ex::fig9(&scale);
     ex::ablation(&scale);
-    if json {
-        let path = std::path::Path::new("results/BENCH_compression.json");
-        ex::write_compression_json(&scale, path).expect("write compression json");
-        println!("wrote {}", path.display());
-        let phases = std::path::Path::new("results/BENCH_phases.json");
-        ex::write_phases_json(&scale, phases).expect("write phases json");
-        println!("wrote {}", phases.display());
-        let store = std::path::Path::new("results/BENCH_store.json");
-        ex::write_store_json(&scale, store).expect("write store json");
-        println!("wrote {}", store.display());
-        // Fail loudly if any expected results file did not land on
-        // disk with content — a silent partial run poisons comparisons
-        // against committed baselines.
-        let mut missing = Vec::new();
-        for expected in [path, phases, store] {
-            if std::fs::metadata(expected).map(|m| m.len()).unwrap_or(0) == 0 {
-                missing.push(expected.display().to_string());
-            }
-        }
-        if !missing.is_empty() {
-            eprintln!("error: expected results not written: {}", missing.join(", "));
-            std::process::exit(1);
-        }
-    }
 }

@@ -459,240 +459,6 @@ pub fn fig9(scale: &Scale) {
     println!();
 }
 
-/// Machine-readable compression results (`all --json`).
-///
-/// For every workload, times tier-2 compression once on a single
-/// worker and once on the scale's worker pool (the outputs are
-/// asserted identical), and writes sizes, ratios, and the parallel
-/// speedup as JSON. Workloads run sequentially so the timings are
-/// undistorted.
-pub fn write_compression_json(scale: &Scale, path: &std::path::Path) -> std::io::Result<()> {
-    let threads = scale.effective_threads();
-    let mut rows = Vec::new();
-    for kind in Kind::all() {
-        let mut seq = build_wet(kind, scale.timing_stmts, WetConfig::default());
-        let (_, secs_1) = timed(|| seq.wet.compress());
-        let mut par = build_wet(kind, scale.timing_stmts, scale.wet_config());
-        let (_, secs_n) = timed(|| par.wet.compress());
-        assert_eq!(par.wet.sizes(), seq.wet.sizes(), "{}: parallel compression diverged", kind.name());
-        let s = *seq.wet.sizes();
-        rows.push(format!(
-            concat!(
-                "    {{\"workload\": \"{}\", \"stmts\": {}, \"orig_bytes\": {}, ",
-                "\"t1_bytes\": {}, \"t2_bytes\": {}, \"ratio\": {:.4}, ",
-                "\"compress_secs_1\": {:.6}, \"compress_secs_n\": {:.6}, \"speedup\": {:.3}}}"
-            ),
-            kind.name(),
-            seq.run.stmts_executed,
-            s.orig_total(),
-            s.t1_total(),
-            s.t2_total(),
-            s.ratio(),
-            secs_1,
-            secs_n,
-            secs_1 / secs_n.max(1e-12),
-        ));
-    }
-    let json = format!(
-        "{{\n  \"bench\": \"compression\",\n  \"stmts_target\": {},\n  \"threads\": {},\n  \"workloads\": [\n{}\n  ]\n}}\n",
-        scale.timing_stmts,
-        threads,
-        rows.join(",\n")
-    );
-    if let Some(dir) = path.parent() {
-        std::fs::create_dir_all(dir)?;
-    }
-    std::fs::write(path, json)
-}
-
-/// Per-phase breakdown of the construction pipeline (`all --json`).
-///
-/// Rebuilds and compresses every workload with observability enabled
-/// (thread-scoped, so nothing leaks into other bench runs) and writes
-/// the aggregated span wall-times plus tier-2 byte totals to JSON.
-/// Workloads run sequentially so the per-phase times are undistorted;
-/// tier-2 itself still uses the scale's worker pool, whose `par.worker`
-/// spans are merged into the same report at pool join.
-pub fn write_phases_json(scale: &Scale, path: &std::path::Path) -> std::io::Result<()> {
-    let mut rows = Vec::new();
-    for kind in Kind::all() {
-        let _obs = wet_obs::scoped_enable();
-        wet_obs::reset();
-        let mut b = build_wet(kind, scale.timing_stmts, scale.wet_config());
-        b.wet.compress();
-        let report = wet_obs::snapshot();
-        let phases = report
-            .totals_by_name()
-            .into_iter()
-            .map(|(name, count, ns)| {
-                format!(
-                    "      {{\"phase\": \"{}\", \"count\": {}, \"secs\": {:.6}}}",
-                    name,
-                    count,
-                    ns as f64 / 1e9
-                )
-            })
-            .collect::<Vec<_>>()
-            .join(",\n");
-        let bytes = |n: &str| ["ts", "vals", "edges"].iter().map(|c| report.counter(n, c)).sum::<u64>();
-        rows.push(format!(
-            concat!(
-                "    {{\"workload\": \"{}\", \"stmts\": {}, \"tier2_bytes_in\": {}, ",
-                "\"tier2_bytes_out\": {}, \"phases\": [\n{}\n    ]}}"
-            ),
-            kind.name(),
-            b.run.stmts_executed,
-            bytes("tier2.bytes_in"),
-            bytes("tier2.bytes_out"),
-            phases
-        ));
-        wet_obs::reset();
-    }
-    let json = format!(
-        "{{\n  \"bench\": \"phases\",\n  \"stmts_target\": {},\n  \"threads\": {},\n  \"workloads\": [\n{}\n  ]\n}}\n",
-        scale.timing_stmts,
-        scale.effective_threads(),
-        rows.join(",\n")
-    );
-    if let Some(dir) = path.parent() {
-        std::fs::create_dir_all(dir)?;
-    }
-    std::fs::write(path, json)
-}
-
-/// Multi-tenant store benchmark (`all --json`).
-///
-/// Saves every workload as a `.wetz`, then measures cold-open latency
-/// two ways — the eager whole-container `Wet::read_from` against the
-/// store's lazy open (section-frame scan + CONF/BIND decode only) —
-/// and reports per-workload p50/p99 with the p99 speedup. A second
-/// phase holds all nine traces open at once under a byte budget sized
-/// to two traces' lazy footprint, queries each so per-stream decodes
-/// and LRU evictions churn, and records the peak resident bytes
-/// against the budget.
-pub fn write_store_json(scale: &Scale, path: &std::path::Path) -> std::io::Result<()> {
-    use std::fs::File;
-    use std::io::BufReader;
-    use wet_core::store::{LazySection, StoreOptions, TraceStore, LAZY_SECTIONS};
-    use wet_core::Wet;
-
-    let target = scale.timing_stmts;
-    let dir = std::env::temp_dir().join(format!("wet-bench-store-{}", std::process::id()));
-    std::fs::create_dir_all(&dir)?;
-    let mut files = Vec::new();
-    for kind in Kind::all() {
-        let mut b = build_wet(kind, target, WetConfig::default());
-        b.wet.compress();
-        let mut bytes = Vec::new();
-        b.wet.write_to(&mut bytes)?;
-        let p = dir.join(format!("{}.wetz", kind.name()));
-        std::fs::write(&p, &bytes)?;
-        files.push((kind, p));
-    }
-
-    fn pct(v: &mut [f64], p: usize) -> f64 {
-        v.sort_by(f64::total_cmp);
-        v[(v.len() * p / 100).min(v.len() - 1)]
-    }
-    const SAMPLES: usize = 30;
-    let mut rows = Vec::new();
-    for (kind, p) in &files {
-        let wetz_bytes = std::fs::metadata(p)?.len();
-        let mut eager_us = Vec::with_capacity(SAMPLES);
-        for _ in 0..SAMPLES {
-            let mut r = BufReader::new(File::open(p)?);
-            let (wet, secs) = timed(|| Wet::read_from(&mut r).expect("eager read"));
-            std::hint::black_box(&wet);
-            eager_us.push(secs * 1e6);
-        }
-        let store = TraceStore::new(StoreOptions::default());
-        let mut cold_us = Vec::with_capacity(SAMPLES);
-        for i in 0..SAMPLES {
-            let id = format!("t{i}");
-            let (trace, secs) = timed(|| store.open(&id, "bench", p, None).expect("lazy open"));
-            std::hint::black_box(&trace);
-            cold_us.push(secs * 1e6);
-            drop(trace);
-            store.close(&id).expect("close");
-        }
-        let e50 = pct(&mut eager_us, 50);
-        let e99 = pct(&mut eager_us, 99);
-        let c50 = pct(&mut cold_us, 50);
-        let c99 = pct(&mut cold_us, 99);
-        rows.push(format!(
-            concat!(
-                "    {{\"workload\": \"{}\", \"wetz_bytes\": {}, ",
-                "\"eager_open_p50_us\": {:.2}, \"eager_open_p99_us\": {:.2}, ",
-                "\"cold_open_p50_us\": {:.2}, \"cold_open_p99_us\": {:.2}, ",
-                "\"p99_speedup\": {:.2}}}"
-            ),
-            kind.name(),
-            wetz_bytes,
-            e50,
-            e99,
-            c50,
-            c99,
-            e99 / c99.max(1e-9),
-        ));
-    }
-
-    // Residency phase: size the budget from the largest single-trace
-    // lazy footprint (so one trace always fits without overshoot),
-    // then hold every trace open under it while queries churn.
-    let sizer = TraceStore::new(StoreOptions::default());
-    let mut per_trace_max = 0u64;
-    for (kind, p) in &files {
-        let t = sizer.open(kind.name(), "bench", p, None).expect("sizing open");
-        drop(sizer.ensure(&t, &LAZY_SECTIONS).expect("sizing ensure"));
-        per_trace_max = per_trace_max.max(sizer.resident_bytes());
-        drop(t);
-        sizer.close(kind.name()).expect("sizing close");
-    }
-    let budget = per_trace_max * 2;
-    let store = TraceStore::new(StoreOptions { budget_bytes: budget, use_mmap: true });
-    let mut traces = Vec::new();
-    for (kind, p) in &files {
-        traces.push(store.open(kind.name(), "bench", p, None).expect("open"));
-    }
-    let mut peak = 0u64;
-    for _round in 0..2 {
-        for t in &traces {
-            let pin = store.ensure(t, &[LazySection::Tseq, LazySection::Vals]).expect("ensure");
-            {
-                let wet = t.wet().read().expect("wet lock");
-                std::hint::black_box(
-                    wet_core::query::cf_trace_forward(&wet).expect("cf trace").len(),
-                );
-            }
-            peak = peak.max(store.resident_bytes());
-            drop(pin);
-        }
-    }
-    let json = format!(
-        concat!(
-            "{{\n  \"bench\": \"store\",\n  \"stmts_target\": {},\n  \"rows\": [\n{}\n  ],\n",
-            "  \"residency\": {{\"traces_held\": {}, \"budget_bytes\": {}, ",
-            "\"peak_resident_bytes\": {}, \"within_budget\": {}, ",
-            "\"lazy_decodes\": {}, \"evictions\": {}}}\n}}\n"
-        ),
-        target,
-        rows.join(",\n"),
-        traces.len(),
-        budget,
-        peak,
-        peak <= budget,
-        store.lazy_decodes(),
-        store.evictions(),
-    );
-    drop(traces);
-    drop(store);
-    let _ = std::fs::remove_dir_all(&dir);
-    if let Some(parent) = path.parent() {
-        std::fs::create_dir_all(parent)?;
-    }
-    std::fs::write(path, json)
-}
-
 /// Ablations over the design choices DESIGN.md calls out.
 pub fn ablation(scale: &Scale) {
     let target = scale.timing_stmts;

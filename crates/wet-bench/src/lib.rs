@@ -17,7 +17,13 @@
 //! | `fig8` | Relative sizes of WET components per tier |
 //! | `fig9` | Compression-ratio scalability with run length |
 //! | `ablation` | Design-choice ablations + Sequitur comparison |
-//! | `all` | Everything above, in EXPERIMENTS.md order |
+//! | `all` | Everything above, in EXPERIMENTS.md order (no arguments) |
+//!
+//! The criterion benches (`streams`, `construction`, `queries`,
+//! `compress_scaling`, `capture`) time single layers in isolation.
+//! End-to-end and per-layer performance (ingest, store, queries over
+//! the socket) is measured by the standalone `perfbench` package at the
+//! repository root, not here.
 //!
 //! Scales are configurable through environment variables:
 //! `WET_TABLE_STMTS` (size experiments, default 4,000,000),

@@ -668,6 +668,9 @@ mod tests {
         // The whole sweep fails typed on any injected divergence.
         let e = dispatch(&s(&["replay", &r, "--check", "--flip-ndet", "0"])).unwrap_err();
         assert_eq!(exit_code_of(e.as_ref()), EXIT_DIVERGENCE);
+        // The checked-in corpus still reproduces at every thread count.
+        let golden = Path::new(env!("CARGO_MANIFEST_DIR")).join("../../golden");
+        dispatch(&s(&["replay", golden.to_str().unwrap(), "--check"])).expect("golden corpus is clean");
         let empty = fresh_dir("empty-corpus");
         std::fs::create_dir_all(&empty).unwrap();
         let e = dispatch(&s(&["replay", empty.to_str().unwrap(), "--check"])).unwrap_err();

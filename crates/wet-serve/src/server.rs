@@ -43,6 +43,13 @@ use wet_core::store::{
 use wet_core::Wet;
 use wet_ir::{Program, StmtId};
 
+/// Socket read-timeout tick; bounds drain reaction latency.
+const READ_TIMEOUT: Duration = Duration::from_millis(25);
+
+/// Slow-sender budget: a connection stalled *mid-frame* longer than
+/// this is dropped (the slow-loris guard).
+const STALL_TIMEOUT: Duration = Duration::from_millis(5_000);
+
 /// Tuning knobs for the daemon. All runtime-only; nothing here is ever
 /// serialized into a trace container.
 #[derive(Debug, Clone)]
@@ -55,11 +62,6 @@ pub struct ServeOptions {
     /// Worker threads for the parallel query engine (0 = all cores).
     /// Responses are byte-identical for every value.
     pub threads: usize,
-    /// Socket read-timeout tick; bounds drain reaction latency.
-    pub read_timeout_ms: u64,
-    /// Slow-sender budget: a connection stalled *mid-frame* longer than
-    /// this is dropped (the slow-loris guard).
-    pub stall_timeout_ms: u64,
     /// Directory `open` paths resolve under; `None` disables the `open`
     /// op entirely (single-trace mode stays closed by default).
     pub store_root: Option<PathBuf>,
@@ -99,8 +101,6 @@ impl Default for ServeOptions {
             max_active: 4,
             queue_watermark: 8,
             threads: 1,
-            read_timeout_ms: 25,
-            stall_timeout_ms: 5_000,
             store_root: None,
             store_budget: 0,
             tenant_active: 0,
@@ -1174,7 +1174,7 @@ impl Server {
     /// a write lock. Exits on peer close, protocol violation, stall
     /// (slow-loris), or drain completion.
     fn handle_conn(&self, stream: Stream) {
-        let _ = stream.set_read_timeout(Duration::from_millis(self.shared.opts.read_timeout_ms));
+        let _ = stream.set_read_timeout(READ_TIMEOUT);
         let writer: Arc<Mutex<Stream>> = match stream.try_clone() {
             Ok(w) => Arc::new(Mutex::new(w)),
             Err(_) => return,
@@ -1184,7 +1184,6 @@ impl Server {
         let mut reader = FrameReader::new();
         let mut stream = stream;
         let mut stall_started: Option<Instant> = None;
-        let stall_budget = Duration::from_millis(self.shared.opts.stall_timeout_ms);
         loop {
             match reader.poll(&mut stream) {
                 Ok(Poll::Frame(payload)) => {
@@ -1194,7 +1193,7 @@ impl Server {
                 Ok(Poll::Pending) => {
                     if reader.mid_frame() {
                         let started = *stall_started.get_or_insert_with(Instant::now);
-                        if started.elapsed() > stall_budget {
+                        if started.elapsed() > STALL_TIMEOUT {
                             wet_obs::counter_add("serve.conns_dropped_slow", "", 1);
                             self.shared.flight.record(FlightKind::ConnDrop, 0, "slow", 0);
                             break;
