@@ -68,7 +68,8 @@ fn cf_trace_whole(wet: &Wet, forward: bool, ctl: &Ctl) -> Result<Vec<CfStep>, Qu
 
 /// Walks up to `count` steps (at least `start` itself) from `start`
 /// towards the end of the execution in the given direction, recording
-/// the step count as a `query.rows` observation.
+/// the step count as a `query.rows` observation and the cursor's work
+/// as `query.cursor_*` ones.
 fn cf_walk(
     cur: &mut Cursor<'_>,
     start: CfStep,
@@ -90,6 +91,7 @@ fn cf_walk(
     }
     let kind = if forward { "cf_trace_forward" } else { "cf_trace_backward" };
     wet_obs::hist_record("query.rows", kind, steps.len() as u64);
+    cur.record(kind);
     Ok(steps)
 }
 

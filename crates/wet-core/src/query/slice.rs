@@ -7,11 +7,11 @@
 //! the (tier-1 or tier-2) compressed representation, through one
 //! [`Cursor`] per query.
 
-use crate::graph::{NodeId, TsMode, Wet, SLOT_CD, SLOT_MEM, SLOT_OP0, SLOT_OP1};
+use crate::graph::{LabelSeq, NodeId, TsMode, Wet, SLOT_CD, SLOT_MEM, SLOT_OP0, SLOT_OP1};
 use crate::query::ctl::{Ctl, QueryErr};
 use crate::query::Degraded;
 use crate::seq::Cursor;
-use std::collections::{BTreeSet, HashSet};
+use std::collections::{BTreeSet, HashMap};
 use wet_ir::{Program, StmtId};
 
 /// A dynamic statement instance addressed WET-style.
@@ -43,8 +43,6 @@ impl Default for SliceSpec {
 /// A computed WET slice.
 #[derive(Debug, Clone)]
 pub struct WetSlice {
-    /// Raw elements visited.
-    pub elems: Vec<WetSliceElem>,
     /// The slice as `(stmt, ts)` pairs — the stable identity used to
     /// compare against reference slicers.
     pub stamped: BTreeSet<(StmtId, u64)>,
@@ -128,7 +126,7 @@ pub fn backward_slice_partial(
     let _span = wet_obs::span!("query.backward_slice_partial");
     let mut deg = Degraded::default();
     if wet.node(criterion.node).stmt_pos(criterion.stmt).is_none() {
-        return Ok((WetSlice { elems: Vec::new(), stamped: BTreeSet::new() }, deg));
+        return Ok((WetSlice { stamped: BTreeSet::new() }, deg));
     }
     let slice = backward_walk(wet, program, criterion, spec, ctl, Some(&mut deg))?;
     Ok((slice, deg))
@@ -146,14 +144,19 @@ fn backward_walk(
     mut deg: Option<&mut Degraded>,
 ) -> Result<WetSlice, QueryErr> {
     let mut cur = Cursor::new(wet);
-    let mut visited: HashSet<WetSliceElem> = HashSet::new();
+    let mut visited = Visited::new(wet);
     let mut stamped = BTreeSet::new();
     let mut work = vec![criterion];
     while let Some(e) = work.pop() {
-        if !visited.insert(e) {
-            continue;
+        match visited.insert(wet, e) {
+            Some(true) => {}
+            Some(false) => continue,
+            None => {
+                lost(deg.as_deref_mut(), not_an_instance(e))?;
+                continue;
+            }
         }
-        ctl.check_every(visited.len())?;
+        ctl.check_every(visited.len)?;
         let ts = &wet.node(e.node).ts;
         if ts.is_available() {
             stamped.insert((e.stmt, cur.get(ts, e.k as usize)));
@@ -171,8 +174,47 @@ fn backward_walk(
             }
         }
     }
-    wet_obs::hist_record("query.rows", "backward_slice", visited.len() as u64);
-    Ok(WetSlice { elems: visited.into_iter().collect(), stamped })
+    wet_obs::hist_record("query.rows", "backward_slice", visited.len as u64);
+    cur.record("backward_slice");
+    Ok(WetSlice { stamped })
+}
+
+/// The instances a slice has visited: per node, one bit for each
+/// (statement position, k), allocated on the node's first visit. All
+/// the bitsets together take at most one bit per executed statement.
+struct Visited {
+    nodes: Vec<Vec<u64>>,
+    len: usize,
+}
+
+impl Visited {
+    fn new(wet: &Wet) -> Visited {
+        Visited { nodes: vec![Vec::new(); wet.nodes().len()], len: 0 }
+    }
+
+    /// Marks `e` visited: `Some(false)` when it already was, `None` when
+    /// it names no instance of its node (a corrupt dependence).
+    fn insert(&mut self, wet: &Wet, e: WetSliceElem) -> Option<bool> {
+        let n = wet.node(e.node);
+        let pos = n.stmt_pos(e.stmt)?;
+        if e.k >= n.n_execs {
+            return None;
+        }
+        let bits = &mut self.nodes[e.node.index()];
+        if bits.is_empty() {
+            *bits = vec![0; (n.stmts.len() * n.n_execs as usize).div_ceil(64)];
+        }
+        let i = e.k as usize * n.stmts.len() + pos;
+        let (word, bit) = (&mut bits[i / 64], 1u64 << (i % 64));
+        let fresh = *word & bit == 0;
+        *word |= bit;
+        self.len += usize::from(fresh);
+        Some(fresh)
+    }
+}
+
+fn not_an_instance(e: WetSliceElem) -> String {
+    format!("dependence reaches {} at execution {} of node {}, which it does not hold", e.stmt, e.k, e.node.0)
 }
 
 /// A lost sequence on a slice's path: counted on a partial slice's
@@ -280,9 +322,13 @@ fn resolve_producer(
 /// [`QueryErr::Corrupt`] when the traversal reaches a sequence lost to
 /// salvage.
 ///
-/// Forward traversal scans outgoing edge labels for the source
-/// instance, and expands control dependences to every statement of the
-/// dependent block, mirroring the dynamic CD semantics.
+/// Forward traversal finds an instance's non-local consumers in a view
+/// of each outgoing label pool sorted by source, built once per query,
+/// and expands control dependences to every statement of the dependent
+/// block, mirroring the dynamic CD semantics.
+///
+/// # Panics
+/// Panics if the criterion statement is not part of the criterion node.
 pub fn forward_slice(
     wet: &Wet,
     program: &Program,
@@ -290,13 +336,20 @@ pub fn forward_slice(
     spec: SliceSpec,
 ) -> Result<WetSlice, QueryErr> {
     let _span = wet_obs::span!("query.forward_slice");
+    assert!(
+        wet.node(criterion.node).stmt_pos(criterion.stmt).is_some(),
+        "criterion statement not in node"
+    );
     let mut cur = Cursor::new(wet);
-    let mut visited: HashSet<WetSliceElem> = HashSet::new();
+    let mut visited = Visited::new(wet);
+    let mut by_src: HashMap<u32, Vec<(u64, u64)>> = HashMap::new();
     let mut stamped = BTreeSet::new();
     let mut work = vec![criterion];
     while let Some(e) = work.pop() {
-        if !visited.insert(e) {
-            continue;
+        match visited.insert(wet, e) {
+            Some(true) => {}
+            Some(false) => continue,
+            None => return Err(QueryErr::Corrupt(not_an_instance(e))),
         }
         let node_ts = &wet.node(e.node).ts;
         if !node_ts.is_available() {
@@ -326,7 +379,8 @@ pub fn forward_slice(
             }
         }
 
-        // Non-local consumers: scan outgoing edges for the source key.
+        // Non-local consumers: the pairs of each outgoing pool whose
+        // source is this instance.
         let key = match wet.config().ts_mode {
             TsMode::Local => e.k as u64,
             TsMode::Global => ts,
@@ -337,11 +391,9 @@ pub fn forward_slice(
             if !lab.dst.is_available() || !lab.src.is_available() {
                 return Err(QueryErr::Corrupt(format!("edge label pool {} unavailable", edge.labels)));
             }
-            for p in 0..lab.len as usize {
-                let (dv, sv) = (cur.get(&lab.dst, p), cur.get(&lab.src, p));
-                if sv != key {
-                    continue;
-                }
+            let pairs = by_src.entry(edge.labels).or_insert_with(|| pool_by_src(&mut cur, lab));
+            let from = pairs.partition_point(|&(sv, _)| sv < key);
+            for &(_, dv) in pairs[from..].iter().take_while(|&&(sv, _)| sv == key) {
                 let k_dst = match wet.config().ts_mode {
                     TsMode::Local => dv as u32,
                     TsMode::Global => {
@@ -359,7 +411,18 @@ pub fn forward_slice(
             }
         }
     }
-    Ok(WetSlice { elems: visited.into_iter().collect(), stamped })
+    cur.record("forward_slice");
+    Ok(WetSlice { stamped })
+}
+
+/// A label pool's `(src, dst)` pairs sorted by source, read once
+/// through the query's cursor, so a forward slice finds the consumers
+/// of an instance by binary search instead of a scan of the pool.
+fn pool_by_src<'w>(cur: &mut Cursor<'w>, lab: &'w LabelSeq) -> Vec<(u64, u64)> {
+    let mut pairs: Vec<(u64, u64)> =
+        (0..lab.len as usize).map(|p| (cur.get(&lab.src, p), cur.get(&lab.dst, p))).collect();
+    pairs.sort_unstable();
+    pairs
 }
 
 /// Pushes the consuming instances of a dependence hit onto the

@@ -110,11 +110,73 @@ impl Seq {
 /// cheap in either direction, any number of queries read one `&Wet`
 /// at once, and the bytes [`Wet::write_to`] writes do not depend on
 /// which queries ran. Raw sequences are read in place.
+///
+/// Sliding costs the distance between reads, so a cursor rents before
+/// it buys: it counts the window steps it spends on each stream, and
+/// once a read would bring that count to the stream's length it decodes
+/// its clone once into a vector, drops the clone, and from then on
+/// indexes (`get`) or binary-searches (`find_sorted`) the vector. A
+/// query thus pays at most about twice the cheaper of sliding and
+/// decoding. Decoded bytes count against the WET's
+/// `serve.cache_budget_bytes` (0 = unlimited); a decode that would
+/// exceed it is not made, and the cursor keeps sliding.
 pub struct Cursor<'w> {
     wet: &'w Wet,
-    /// This query's copies of the streams it has read, keyed by the
+    /// This query's readers of the streams it has read, keyed by the
     /// stored stream's address (fixed while `wet` is borrowed).
-    windows: HashMap<usize, CompressedStream, BuildHasherDefault<AddrHasher>>,
+    readers: HashMap<usize, Reader, BuildHasherDefault<AddrHasher>>,
+    /// Decoded bytes this cursor may hold (0 = unlimited).
+    budget: u64,
+    /// Decoded bytes it holds.
+    decoded_bytes: u64,
+}
+
+/// The work a [`Cursor`] has done, for the `query.cursor_*` metrics.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub(crate) struct CursorStats {
+    /// Window steps spent sliding to reads (a decode's own sweep, at
+    /// most 1.5 stream lengths, is not counted).
+    steps: u64,
+    /// Streams decoded.
+    decodes: u64,
+    /// Bytes of decoded values held.
+    decoded_bytes: u64,
+}
+
+/// One compressed stream as a cursor reads it.
+struct Reader {
+    /// Window steps spent sliding on this stream.
+    steps: u64,
+    form: Form,
+}
+
+enum Form {
+    /// The cursor's own clone of the stream, read through its window.
+    Window(CompressedStream),
+    /// The whole stream, decoded once sliding had cost as much.
+    Decoded(Vec<u64>),
+}
+
+/// Reads index `i` through `s`'s window, adding the steps it slides to
+/// `steps`.
+fn slide(s: &mut CompressedStream, i: usize, steps: &mut u64) -> u64 {
+    let from = s.window_start();
+    let v = s.get(i);
+    *steps += from.abs_diff(s.window_start()) as u64;
+    v
+}
+
+/// Decodes a whole stream from wherever its window sits, sweeping from
+/// the nearer end.
+fn decode(s: &mut CompressedStream) -> Vec<u64> {
+    let n = s.len();
+    if s.window_start() < (n / 2) as isize {
+        (0..n).map(|i| s.get(i)).collect()
+    } else {
+        let mut v: Vec<u64> = (0..n).rev().map(|i| s.get(i)).collect();
+        v.reverse();
+        v
+    }
 }
 
 /// Hashes a stream address with one multiply: the keys are distinct
@@ -146,7 +208,7 @@ impl Hasher for AddrHasher {
 impl<'w> Cursor<'w> {
     /// A cursor over `wet` that has read nothing yet.
     pub fn new(wet: &'w Wet) -> Self {
-        Cursor { wet, windows: HashMap::default() }
+        Cursor { wet, readers: HashMap::default(), budget: wet.config().serve.cache_budget_bytes, decoded_bytes: 0 }
     }
 
     /// The WET this cursor reads.
@@ -154,8 +216,49 @@ impl<'w> Cursor<'w> {
         self.wet
     }
 
-    fn window(&mut self, s: &'w CompressedStream) -> &mut CompressedStream {
-        self.windows.entry(s as *const CompressedStream as usize).or_insert_with(|| s.clone())
+    /// The work this cursor has done so far.
+    pub(crate) fn stats(&self) -> CursorStats {
+        let mut st = CursorStats { decoded_bytes: self.decoded_bytes, ..CursorStats::default() };
+        for r in self.readers.values() {
+            st.steps += r.steps;
+            st.decodes += u64::from(matches!(r.form, Form::Decoded(_)));
+        }
+        st
+    }
+
+    /// Records this cursor's work as one query's `query.cursor_steps`,
+    /// `query.cursor_decodes` and `query.cursor_decoded_bytes`
+    /// observations, labelled by the query `kind`.
+    pub(crate) fn record(&self, kind: &str) {
+        let st = self.stats();
+        wet_obs::hist_record("query.cursor_steps", kind, st.steps);
+        wet_obs::hist_record("query.cursor_decodes", kind, st.decodes);
+        wet_obs::hist_record("query.cursor_decoded_bytes", kind, st.decoded_bytes);
+    }
+
+    /// True when decoding `len` more values keeps this cursor within
+    /// its budget.
+    fn room_for(&self, len: usize) -> bool {
+        self.budget == 0 || self.decoded_bytes + 8 * len as u64 <= self.budget
+    }
+
+    /// This cursor's reader of `stored`, decoded first when sliding
+    /// `far(window)` more steps would bring the steps spent on it to its
+    /// length and the budget has room.
+    fn reader(&mut self, stored: &'w CompressedStream, far: impl FnOnce(&CompressedStream) -> u64) -> &mut Reader {
+        let room = self.room_for(stored.len());
+        let r = self
+            .readers
+            .entry(stored as *const CompressedStream as usize)
+            .or_insert_with(|| Reader { steps: 0, form: Form::Window(stored.clone()) });
+        if let Form::Window(s) = &mut r.form {
+            if room && r.steps.saturating_add(far(s)) >= s.len() as u64 {
+                let v = decode(s);
+                self.decoded_bytes += 8 * v.len() as u64;
+                r.form = Form::Decoded(v);
+            }
+        }
+        r
     }
 
     /// Reads index `i` of `seq`.
@@ -167,32 +270,56 @@ impl<'w> Cursor<'w> {
     pub fn get(&mut self, seq: &'w Seq, i: usize) -> u64 {
         match seq {
             Seq::Raw(v) => v[i],
-            Seq::Compressed(s) => self.window(s).get(i),
+            Seq::Compressed(s) => {
+                let far = |w: &CompressedStream| match w.peek(i) {
+                    Some(_) => 0,
+                    None => w.window_start().abs_diff(i as isize) as u64,
+                };
+                let r = self.reader(s, far);
+                match &mut r.form {
+                    Form::Window(s) => slide(s, i, &mut r.steps),
+                    Form::Decoded(v) => v[i],
+                }
+            }
             Seq::Unavailable(_) => panic!("read from unavailable (salvage-lost) sequence"),
         }
     }
 
     /// Searches a **sorted** sequence for `target`, returning its
     /// position. A tier-2 search gallops from where this cursor last
-    /// left the stream's window, so repeated nearby lookups are cheap.
-    /// Unavailable sequences report no match.
+    /// left the stream's window, so repeated nearby lookups are cheap;
+    /// a gallop that brings the stream's steps to its length decodes it
+    /// (budget permitting) and binary-searches instead. Unavailable
+    /// sequences report no match.
     pub fn find_sorted(&mut self, seq: &'w Seq, target: u64) -> Option<usize> {
         match seq {
             Seq::Raw(v) => v.binary_search(&target).ok(),
-            Seq::Compressed(s) if !s.is_empty() => {
-                let s = self.window(s);
-                let n = s.len();
+            Seq::Compressed(stored) if !stored.is_empty() => {
+                let n = stored.len();
+                let limit = if self.room_for(n) { n as u64 } else { u64::MAX };
+                let r = self.reader(stored, |_| 0);
+                let (s, steps) = match &mut r.form {
+                    Form::Window(s) => (s, &mut r.steps),
+                    Form::Decoded(v) => return v.binary_search(&target).ok(),
+                };
                 let mut i = s.window_start().clamp(0, n as isize - 1) as usize;
-                let mut vi = s.get(i);
-                while vi < target && i + 1 < n {
+                let mut vi = slide(s, i, steps);
+                while vi < target && i + 1 < n && *steps < limit {
                     i += 1;
-                    vi = s.get(i);
+                    vi = slide(s, i, steps);
                 }
-                while vi > target && i > 0 {
+                while vi > target && i > 0 && *steps < limit {
                     i -= 1;
-                    vi = s.get(i);
+                    vi = slide(s, i, steps);
                 }
-                (vi == target).then_some(i)
+                if *steps < limit || vi == target {
+                    return (vi == target).then_some(i);
+                }
+                // The gallop has paid for a decode.
+                match &self.reader(stored, |_| 0).form {
+                    Form::Decoded(v) => v.binary_search(&target).ok(),
+                    Form::Window(_) => unreachable!("a paid-up stream with budget room decodes"),
+                }
             }
             _ => None,
         }
@@ -287,6 +414,106 @@ mod tests {
         assert_eq!(cur.get(&s, 0), 0);
         assert_eq!(cur.find_sorted(&s, 50), Some(10));
         assert_eq!(stored.window_start(), before);
+    }
+
+    /// `len` strictly increasing values with deltas from `deltas`.
+    fn sorted_seq(len: usize, deltas: &[u64]) -> Vec<u64> {
+        let mut t = 0;
+        (0..len)
+            .map(|i| {
+                t += deltas[i % deltas.len()];
+                t
+            })
+            .collect()
+    }
+
+    fn compressed(data: &[u64]) -> Seq {
+        let mut s = Seq::Raw(data.to_vec());
+        s.compress(&cfg());
+        s
+    }
+
+    /// A cheap deterministic index sequence that jumps across the
+    /// whole stream.
+    fn far_indices(n: usize, count: usize) -> impl Iterator<Item = usize> {
+        (0..count as u64).map(move |i| (i.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 17) as usize % n)
+    }
+
+    #[test]
+    fn sliding_stops_once_it_has_paid_for_a_decode() {
+        let n = 1000;
+        let data = sorted_seq(n, &[3, 1, 4, 1, 5]);
+        let s = compressed(&data);
+        let wet = any_wet();
+        let mut cur = Cursor::new(&wet);
+        for (j, i) in far_indices(n, 400).enumerate() {
+            let got = if j % 2 == 0 { cur.get(&s, i) } else { data[cur.find_sorted(&s, data[i]).unwrap()] };
+            assert_eq!(got, data[i]);
+        }
+        let st = cur.stats();
+        // Slides take at most one stream length, then one decode serves
+        // every later read; sliding alone would have spent about n / 3
+        // steps per read.
+        assert!(st.steps <= n as u64, "{st:?}");
+        assert_eq!((st.decodes, st.decoded_bytes), (1, 8 * n as u64));
+        for i in far_indices(n, 50) {
+            assert_eq!(cur.get(&s, i), data[i]);
+        }
+        assert_eq!(cur.stats(), st, "a decoded stream takes no more window steps");
+    }
+
+    #[test]
+    fn decoded_bytes_stay_within_the_budget() {
+        let n = 100;
+        let streams: Vec<Vec<u64>> = (1..=5).map(|d| sorted_seq(n, &[d, 2 * d + 1])).collect();
+        let seqs: Vec<Seq> = streams.iter().map(|d| compressed(d)).collect();
+        for budget in [1, 8 * n as u64 - 1, 8 * n as u64, 2_000] {
+            let mut wet = any_wet();
+            wet.config_mut().serve.cache_budget_bytes = budget;
+            let mut cur = Cursor::new(&wet);
+            for (j, i) in far_indices(n, 600).enumerate() {
+                let (data, seq) = (&streams[j % 5], &seqs[j % 5]);
+                assert_eq!(cur.get(seq, i), data[i]);
+                assert_eq!(cur.find_sorted(seq, data[i]), Some(i));
+                assert!(cur.stats().decoded_bytes <= budget, "budget {budget}: {:?}", cur.stats());
+            }
+            assert_eq!(cur.stats().decodes, budget / (8 * n as u64), "budget {budget}");
+        }
+    }
+
+    proptest::proptest! {
+        /// Random near and far reads on a compressed sequence answer
+        /// exactly as on the raw one, before and after the cursor
+        /// switches the stream to its decoded form, with and without a
+        /// budget that forbids the switch.
+        #[test]
+        fn cursor_reads_match_raw_across_the_decode(
+            len in 1usize..600,
+            deltas in proptest::collection::vec(1u64..6, 1..8),
+            ops in proptest::collection::vec((0u8..4, 0usize..600, 0u64..3), 1..300),
+            budgeted in proptest::arbitrary::any::<bool>(),
+        ) {
+            let data = sorted_seq(len, &deltas);
+            let (raw, comp) = (Seq::Raw(data.clone()), compressed(&data));
+            let mut wet = any_wet();
+            wet.config_mut().serve.cache_budget_bytes = u64::from(budgeted);
+            let mut cur = Cursor::new(&wet);
+            let mut at = 0usize;
+            for (kind, far, off) in ops {
+                // Near ops move a little from the last index, far ones jump.
+                at = if kind % 2 == 0 { far % len } else { (at + far % 3).min(len - 1) };
+                if kind < 2 {
+                    proptest::prop_assert_eq!(cur.get(&comp, at), cur.get(&raw, at));
+                } else {
+                    // A hit, a miss between values, or past the end.
+                    let target = data[at] + off;
+                    proptest::prop_assert_eq!(cur.find_sorted(&comp, target), cur.find_sorted(&raw, target));
+                }
+            }
+            if budgeted {
+                proptest::prop_assert_eq!(cur.stats().decodes, 0);
+            }
+        }
     }
 
     #[test]

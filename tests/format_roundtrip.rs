@@ -92,9 +92,9 @@ fn run_queries(wet: &Wet, program: &wet_ir::Program) {
     let node = wet.node(mid.node);
     let criterion = query::WetSliceElem { node: mid.node, stmt: node.stmts[node.stmts.len() - 1].id, k: mid.k };
     query::backward_slice(wet, program, criterion, Default::default()).unwrap();
-    let (last, _) = wet.last();
-    let end = query::WetSliceElem { node: last, stmt: wet.node(last).stmts[0].id, k: wet.node(last).n_execs - 1 };
-    query::forward_slice(wet, program, end, Default::default()).unwrap();
+    let (first, _) = wet.first();
+    let start = query::WetSliceElem { node: first, stmt: wet.node(first).stmts[0].id, k: 0 };
+    query::forward_slice(wet, program, start, Default::default()).unwrap();
     wet_core::dump::dump_node(wet, program, mid.node, 8);
     for s in &node.stmts {
         query::mine::value_locality(wet, s.id);
