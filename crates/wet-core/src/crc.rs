@@ -1,22 +1,30 @@
 //! CRC-32 (IEEE 802.3, reflected polynomial `0xEDB88320`) implemented
 //! in-repo — the integrity check of every `.wetz` v2 container section.
 //!
-//! The build environment is offline, so no `crc32fast`; a classic
-//! 256-entry table computed at first use is plenty for the file sizes
-//! involved (one pass per section at write and read time).
+//! The build environment is offline, so no `crc32fast`. The checksum
+//! runs slice-by-8: eight 256-entry tables, computed at first use, fold
+//! eight input bytes per step. Table 0 is the classic bytewise table;
+//! table `k` advances a byte's contribution past `k` further zero
+//! bytes, so one step is the XOR of eight lookups.
 
 use std::sync::OnceLock;
 
-fn table() -> &'static [u32; 256] {
-    static TABLE: OnceLock<[u32; 256]> = OnceLock::new();
-    TABLE.get_or_init(|| {
-        let mut t = [0u32; 256];
-        for (i, e) in t.iter_mut().enumerate() {
+fn tables() -> &'static [[u32; 256]; 8] {
+    static TABLES: OnceLock<[[u32; 256]; 8]> = OnceLock::new();
+    TABLES.get_or_init(|| {
+        let mut t = [[0u32; 256]; 8];
+        for (i, e) in t[0].iter_mut().enumerate() {
             let mut c = i as u32;
             for _ in 0..8 {
                 c = if c & 1 == 1 { 0xEDB8_8320 ^ (c >> 1) } else { c >> 1 };
             }
             *e = c;
+        }
+        for k in 1..8 {
+            for i in 0..256 {
+                let c = t[k - 1][i];
+                t[k][i] = t[0][(c & 0xFF) as usize] ^ (c >> 8);
+            }
         }
         t
     })
@@ -42,10 +50,25 @@ impl Crc32 {
 
     /// Feeds `bytes` into the checksum.
     pub fn update(&mut self, bytes: &[u8]) {
-        let t = table();
-        for &b in bytes {
-            self.state = t[((self.state ^ b as u32) & 0xFF) as usize] ^ (self.state >> 8);
+        let t = tables();
+        let mut c = self.state;
+        let mut chunks = bytes.chunks_exact(8);
+        for b in &mut chunks {
+            let lo = c ^ u32::from_le_bytes([b[0], b[1], b[2], b[3]]);
+            let hi = u32::from_le_bytes([b[4], b[5], b[6], b[7]]);
+            c = t[7][(lo & 0xFF) as usize]
+                ^ t[6][((lo >> 8) & 0xFF) as usize]
+                ^ t[5][((lo >> 16) & 0xFF) as usize]
+                ^ t[4][(lo >> 24) as usize]
+                ^ t[3][(hi & 0xFF) as usize]
+                ^ t[2][((hi >> 8) & 0xFF) as usize]
+                ^ t[1][((hi >> 16) & 0xFF) as usize]
+                ^ t[0][(hi >> 24) as usize];
         }
+        for &b in chunks.remainder() {
+            c = t[0][((c ^ b as u32) & 0xFF) as usize] ^ (c >> 8);
+        }
+        self.state = c;
     }
 
     /// The final checksum value.
@@ -64,6 +87,56 @@ pub fn crc32(bytes: &[u8]) -> u32 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+
+    /// The bytewise table loop slice-by-8 replaces.
+    fn bytewise(bytes: &[u8]) -> u32 {
+        let t = &tables()[0];
+        !bytes.iter().fold(!0u32, |c, &b| t[((c ^ b as u32) & 0xFF) as usize] ^ (c >> 8))
+    }
+
+    fn data(n: usize) -> Vec<u8> {
+        let mut x = 0x2545_F491_4F6C_DD1Du64;
+        (0..n)
+            .map(|_| {
+                x ^= x << 13;
+                x ^= x >> 7;
+                x ^= x << 17;
+                x as u8
+            })
+            .collect()
+    }
+
+    #[test]
+    fn slice_by_8_matches_bytewise_at_every_length_and_offset() {
+        let buf = data(308);
+        for start in 0..8 {
+            for len in 0..=300 {
+                let bytes = &buf[start..start + len];
+                assert_eq!(crc32(bytes), bytewise(bytes), "start {start} len {len}");
+            }
+        }
+    }
+
+    proptest! {
+        /// Any chunking of the input gives the one-shot checksum.
+        #[test]
+        fn random_chunkings_match_bytewise(
+            len in 0usize..2000,
+            cuts in prop::collection::vec(0usize..2000, 0..12),
+        ) {
+            let bytes = data(len);
+            let mut cuts: Vec<usize> = cuts.into_iter().map(|c| c.min(len)).collect();
+            cuts.push(0);
+            cuts.push(len);
+            cuts.sort_unstable();
+            let mut c = Crc32::new();
+            for w in cuts.windows(2) {
+                c.update(&bytes[w[0]..w[1]]);
+            }
+            prop_assert_eq!(c.finish(), bytewise(&bytes));
+        }
+    }
 
     #[test]
     fn known_vectors() {

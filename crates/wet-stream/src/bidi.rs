@@ -22,8 +22,8 @@
 //! that the stream is extended by n values each at the two ends") so the
 //! window always has full context.
 
-use crate::bitbuf::{BitCounter, BitStack};
-use crate::predict::{Method, PredState, Side};
+use crate::bitbuf::BitStack;
+use crate::predict::{hash_step, Method, PredState, Side, HASH_SEED};
 use std::collections::VecDeque;
 
 /// Configuration for stream compression.
@@ -523,17 +523,18 @@ fn table_bits_for(len: usize, max_bits: u32) -> u32 {
 /// returns the method with the fewest bits (ties break toward the
 /// earlier candidate).
 pub fn choose_method(values: &[u64], cfg: &StreamConfig) -> Method {
+    let default;
     let candidates = if cfg.candidates.is_empty() {
-        Method::default_candidates()
+        default = Method::default_candidates();
+        &default
     } else {
-        cfg.candidates.clone()
+        &cfg.candidates
     };
     let n = values.len().min(cfg.trial_len.max(1));
-    let prefix = &values[..n];
+    let scores = trial_scores(&values[..n], candidates, table_bits_for(values.len(), cfg.table_bits_max));
     let mut best = candidates[0];
     let mut best_bits = u64::MAX;
-    for &m in &candidates {
-        let (bits, hits, misses) = trial_bits(prefix, m, table_bits_for(values.len(), cfg.table_bits_max));
+    for (&m, &(bits, hits, misses)) in candidates.iter().zip(&scores) {
         // Trial hit rates cover *every* candidate on the same prefix —
         // the paper's per-variant predictor comparison — where the
         // post-selection counters only see each stream's winner.
@@ -550,31 +551,267 @@ pub fn choose_method(values: &[u64], cfg: &StreamConfig) -> Method {
     best
 }
 
-/// Counts the bits a method would use on `values` (left-to-right pass;
-/// compression ratios are direction-symmetric in expectation), along
-/// with the predictor's hit and miss counts.
-fn trial_bits(values: &[u64], method: Method, table_bits: u32) -> (u64, u64, u64) {
-    let w = method.window();
-    let mut st = PredState::new(method, table_bits);
-    let mut counter = BitCounter::new();
-    let mut ctx = [0u64; 4];
-    let mut hits = 0u64;
-    for (i, &v) in values.iter().enumerate() {
-        for (j, c) in ctx.iter_mut().enumerate().take(w) {
-            let d = j + 1;
-            *c = if i >= d { values[i - d] } else { 0 };
+/// Scores every candidate on `values` in one left-to-right pass,
+/// returning each one's `(bits, hits, misses)` exactly as compressing
+/// `values` alone with that method into a BL stack would count them
+/// (compression ratios are direction-symmetric in expectation).
+///
+/// The candidates share the pass. The FCM order-`k` hash is the `k`-th
+/// prefix of one `predict::hash_ctx` fold over the context,
+/// and the DFCM hashes are one fold over its strides, so each order in
+/// the list costs one probe of its own zeroed table. A last-*n* list of
+/// size `m` is always the first `m` entries of a larger one: both start
+/// zeroed, a hit at position `j < m` moves the same value to the front
+/// of both, and any other value enters both at the front and shifts
+/// them right by one. So one move-to-front list of the largest size
+/// serves every size, and a hit at position `j` counts for every size
+/// above `j`.
+fn trial_scores(values: &[u64], candidates: &[Method], table_bits: u32) -> Vec<(u64, u64, u64)> {
+    let mut fcm: [Vec<u64>; 5] = Default::default();
+    let mut dfcm: [Vec<u64>; 4] = Default::default();
+    let (mut last_n, mut stride_n) = (0, 0);
+    for &m in candidates {
+        let table = match m {
+            Method::Fcm { order } => &mut fcm[order as usize],
+            Method::Dfcm { order } => &mut dfcm[order as usize],
+            Method::LastN { n } => {
+                last_n = last_n.max(mtf_size(n));
+                continue;
+            }
+            Method::LastNStride { n } => {
+                stride_n = stride_n.max(mtf_size(n));
+                continue;
+            }
+        };
+        if table.is_empty() {
+            *table = vec![0; 1 << table_bits];
         }
-        hits += u64::from(st.compress(Side::Bl, &ctx, v, &mut counter));
     }
-    (counter.bits(), hits, values.len() as u64 - hits)
+    // Orders past the highest candidate need no hash.
+    let fcm_orders = fcm.iter().rposition(|t| !t.is_empty()).map_or(0, |k| k + 1);
+    let dfcm_orders = dfcm.iter().rposition(|t| !t.is_empty()).map_or(0, |k| k + 1);
+    let mask = (1u64 << table_bits) - 1;
+    let (mut fcm_hits, mut dfcm_hits) = ([0u64; 5], [0u64; 4]);
+    let (mut last, mut stride) = (MtfPrefix::new(last_n), MtfPrefix::new(stride_n));
+    // Nearest-first context, zero-padded left of the stream.
+    let mut ctx = [0u64; 4];
+    for &v in values {
+        let mut h = HASH_SEED;
+        for k in 0..fcm_orders {
+            if k > 0 {
+                h = hash_step(h, ctx[k - 1]);
+            }
+            fcm_hits[k] += u64::from(probe(&mut fcm[k], h & mask, v));
+        }
+        let stride_v = v.wrapping_sub(ctx[0]);
+        let mut h = HASH_SEED;
+        for k in 0..dfcm_orders {
+            if k > 0 {
+                h = hash_step(h, ctx[k - 1].wrapping_sub(ctx[k]));
+            }
+            dfcm_hits[k] += u64::from(probe(&mut dfcm[k], h & mask, stride_v));
+        }
+        last.push(v);
+        stride.push(stride_v);
+        ctx = [v, ctx[0], ctx[1], ctx[2]];
+    }
+    let total = values.len() as u64;
+    // A hit costs its flag plus `hit_bits` of payload; every miss costs
+    // the flag plus a 64-bit payload.
+    let score = |hits: u64, hit_bits: u32| (hits * (1 + u64::from(hit_bits)) + (total - hits) * 65, hits, total - hits);
+    candidates
+        .iter()
+        .map(|&m| match m {
+            Method::Fcm { order } => score(fcm_hits[order as usize], 0),
+            Method::Dfcm { order } => score(dfcm_hits[order as usize], 0),
+            Method::LastN { n } => score(last.hits(n as usize), n.trailing_zeros()),
+            Method::LastNStride { n } => score(stride.hits(n as usize), n.trailing_zeros()),
+        })
+        .collect()
+}
+
+/// One direct-mapped predictor step on an empty-when-unused table:
+/// true on a hit; a miss stores `v`.
+#[inline]
+fn probe(table: &mut [u64], slot: u64, v: u64) -> bool {
+    let Some(e) = table.get_mut(slot as usize) else { return false };
+    let hit = *e == v;
+    *e = v;
+    hit
+}
+
+/// Checks a last-*n* size the way `predict::MtfTable::new` does.
+fn mtf_size(n: u32) -> usize {
+    let n = n as usize;
+    assert!(n.is_power_of_two() && n >= 2, "MTF size must be a power of two >= 2");
+    n
+}
+
+/// A move-to-front list that counts the hits at each position.
+struct MtfPrefix {
+    vals: Vec<u64>,
+    hits_at: Vec<u64>,
+}
+
+impl MtfPrefix {
+    fn new(n: usize) -> Self {
+        MtfPrefix { vals: vec![0; n], hits_at: vec![0; n] }
+    }
+
+    fn push(&mut self, v: u64) {
+        if self.vals.is_empty() {
+            return;
+        }
+        match self.vals.iter().position(|&x| x == v) {
+            Some(j) => {
+                self.hits_at[j] += 1;
+                self.vals[..=j].rotate_right(1);
+            }
+            None => {
+                self.vals.rotate_right(1);
+                self.vals[0] = v;
+            }
+        }
+    }
+
+    /// Hits a list of the first `n` entries would have scored.
+    fn hits(&self, n: usize) -> u64 {
+        self.hits_at[..n].iter().sum()
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     fn cfg() -> StreamConfig {
         StreamConfig::default()
+    }
+
+    /// Reference for [`trial_scores`]: one candidate per pass, with a
+    /// fresh predictor compressing into a real BL stack.
+    fn trial_bits(values: &[u64], method: Method, table_bits: u32) -> (u64, u64, u64) {
+        let w = method.window();
+        let mut st = PredState::new(method, table_bits);
+        let mut stack = BitStack::new();
+        let mut ctx = [0u64; 4];
+        let mut hits = 0u64;
+        for (i, &v) in values.iter().enumerate() {
+            for (j, c) in ctx.iter_mut().enumerate().take(w) {
+                let d = j + 1;
+                *c = if i >= d { values[i - d] } else { 0 };
+            }
+            hits += u64::from(st.compress(Side::Bl, &ctx, v, &mut stack));
+        }
+        (stack.len() as u64, hits, values.len() as u64 - hits)
+    }
+
+    /// [`choose_method`] over [`trial_bits`], one pass per candidate.
+    fn choose_method_per_candidate(values: &[u64], cfg: &StreamConfig) -> Method {
+        let candidates = if cfg.candidates.is_empty() { Method::default_candidates() } else { cfg.candidates.clone() };
+        let prefix = &values[..values.len().min(cfg.trial_len.max(1))];
+        let mut best = (u64::MAX, candidates[0]);
+        for &m in &candidates {
+            let (bits, hits, misses) = trial_bits(prefix, m, table_bits_for(values.len(), cfg.table_bits_max));
+            if wet_obs::enabled() {
+                wet_obs::counter_add("stream.trial_hits", &m.name(), hits);
+                wet_obs::counter_add("stream.trial_misses", &m.name(), misses);
+            }
+            if bits < best.0 {
+                best = (bits, m);
+            }
+        }
+        best.1
+    }
+
+    /// The method `choose` picks and the counter increments it makes,
+    /// in order, with profiling on for this thread.
+    fn trial_counters(choose: impl FnOnce() -> Method) -> (Method, Vec<(String, u64)>) {
+        let _on = wet_obs::scoped_enable();
+        let cap = wet_obs::capture();
+        let m = choose();
+        (m, cap.events().0.into_iter().map(|e| (e.name.into_owned(), e.n)).collect())
+    }
+
+    /// Streams shaped like WET's: random, small-alphabet, noisy-stride
+    /// and repeating-pattern values, long enough to outrun small
+    /// tables and the MTF lists.
+    fn values_strategy() -> impl Strategy<Value = Vec<u64>> {
+        prop_oneof![
+            prop::collection::vec(any::<u64>(), 0..200),
+            prop::collection::vec(0u64..8, 0..600),
+            prop::collection::vec(0u64..40, 0..600),
+            (any::<u32>(), 1u64..100, prop::collection::vec(0u64..3, 0..600)).prop_map(|(base, stride, noise)| {
+                let mut v = u64::from(base);
+                noise
+                    .into_iter()
+                    .map(|n| {
+                        v = v.wrapping_add(stride + n);
+                        v
+                    })
+                    .collect()
+            }),
+            (prop::collection::vec(0u64..1000, 1..40), 0usize..900)
+                .prop_map(|(pat, len)| (0..len).map(|i| pat[i % pat.len()]).collect()),
+        ]
+    }
+
+    /// Candidate lists: the default one, a permutation of it, a
+    /// shuffled subset (empty means the default), a list with duplicates, a list without FCM, and
+    /// the extreme last-*n* sizes, over the default methods plus
+    /// `last2`, `last32` and `stride64`.
+    fn candidates_strategy() -> impl Strategy<Value = Vec<Method>> {
+        (0u32..6, prop::collection::vec(any::<u64>(), 1..24)).prop_map(|(shape, picks)| {
+            let mut pool = Method::default_candidates();
+            pool.extend([Method::LastN { n: 2 }, Method::LastN { n: 32 }, Method::LastNStride { n: 64 }]);
+            let shuffle = |mut list: Vec<Method>| {
+                for i in (1..list.len()).rev() {
+                    list.swap(i, (picks[i % picks.len()] % (i as u64 + 1)) as usize);
+                }
+                list
+            };
+            match shape {
+                0 => Method::default_candidates(),
+                1 => shuffle(Method::default_candidates()),
+                2 => shuffle((0..pool.len()).filter(|i| picks[0] >> i & 1 == 1).map(|i| pool[i]).collect()),
+                3 => picks.iter().map(|&p| pool[(p % pool.len() as u64) as usize]).collect(),
+                4 => shuffle(pool.into_iter().filter(|m| !matches!(m, Method::Fcm { .. })).collect()),
+                _ => vec![
+                    Method::LastN { n: 2 },
+                    Method::LastN { n: 32 },
+                    Method::LastNStride { n: 64 },
+                    Method::LastNStride { n: 4 },
+                    Method::Dfcm { order: 2 },
+                ],
+            }
+        })
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(128))]
+
+        /// The fused pass scores every candidate exactly as its own
+        /// trial pass does, and so picks the same method and reports
+        /// the same trial counters.
+        #[test]
+        fn fused_selection_matches_per_candidate_trials(
+            values in values_strategy(),
+            candidates in candidates_strategy(),
+            table_bits_max in 4u32..10,
+            trial_len in prop_oneof![Just(1usize), Just(50), Just(256), Just(4096)],
+        ) {
+            let cfg = StreamConfig { table_bits_max, trial_len, candidates, num_threads: 1 };
+            let prefix = &values[..values.len().min(trial_len)];
+            let table_bits = table_bits_for(values.len(), table_bits_max);
+            let fused = trial_scores(prefix, &cfg.candidates, table_bits);
+            for (&m, &got) in cfg.candidates.iter().zip(&fused) {
+                prop_assert_eq!(got, trial_bits(prefix, m, table_bits), "{}", m.name());
+            }
+            let want = trial_counters(|| choose_method_per_candidate(&values, &cfg));
+            let got = trial_counters(|| choose_method(&values, &cfg));
+            prop_assert_eq!(got, want);
+        }
     }
 
     #[test]

@@ -10,12 +10,15 @@
 //! the 1-bit hit/miss flag first and then knows how many payload bits to
 //! pop.
 
-/// Anything that accepts pushed bits. Implemented by [`BitStack`] (real
-/// storage) and [`BitCounter`] (size-only trial runs).
+/// Anything that accepts pushed bits: a [`BitStack`], or the
+/// unidirectional baseline's forward bit vector.
 pub trait BitSink {
     /// Pushes a single bit.
     fn push_bit(&mut self, bit: bool);
     /// Pushes the low `width` bits of `value` (LSB pushed first).
+    ///
+    /// # Panics
+    /// [`BitStack`] panics if `width > 64`.
     fn push_bits(&mut self, value: u64, width: u32);
 }
 
@@ -70,15 +73,28 @@ impl BitStack {
     #[inline]
     pub fn pop_bits(&mut self, width: u32) -> u64 {
         assert!(width <= 64);
-        let mut v = 0u64;
-        // push_bits pushed LSB first, so the MSB is on top: pop from
-        // high bit index down.
-        for i in (0..width).rev() {
-            if self.pop_bit() {
-                v |= 1u64 << i;
-            }
+        let width = width as usize;
+        assert!(self.len >= width, "pop from empty BitStack");
+        if width == 0 {
+            return 0;
         }
-        v
+        // push_bits put value bit i at index `len + i`, so the value is
+        // the top `width` bits read upward from the new length; it
+        // spans at most two words.
+        let len = self.len - width;
+        let (w, b) = (len / 64, len % 64);
+        let mut v = self.words[w] >> b;
+        if b + width > 64 {
+            v |= self.words[w + 1] << (64 - b);
+        }
+        // Release emptied words and clear the rest above the new top,
+        // so Eq/Debug stay canonical.
+        self.words.truncate(len.div_ceil(64));
+        if b != 0 {
+            self.words[w] &= (1u64 << b) - 1;
+        }
+        self.len = len;
+        v & (u64::MAX >> (64 - width))
     }
 
     /// [`pop_bit`](Self::pop_bit) that reports underflow instead of
@@ -93,8 +109,7 @@ impl BitStack {
     }
 
     /// [`pop_bits`](Self::pop_bits) that reports underflow instead of
-    /// panicking. On `None` some bits may already have been consumed;
-    /// the stack must be discarded.
+    /// panicking. On `None` the stack is left unchanged.
     #[inline]
     pub fn try_pop_bits(&mut self, width: u32) -> Option<u64> {
         if width > 64 || self.len < width as usize {
@@ -148,48 +163,28 @@ impl BitSink for BitStack {
 
     #[inline]
     fn push_bits(&mut self, value: u64, width: u32) {
-        debug_assert!(width <= 64);
-        for i in 0..width {
-            self.push_bit((value >> i) & 1 == 1);
+        assert!(width <= 64, "push of more than 64 bits");
+        if width == 0 {
+            return;
         }
-    }
-}
-
-/// A [`BitSink`] that only counts bits — used for trial compression
-/// during method selection.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct BitCounter {
-    bits: u64,
-}
-
-impl BitCounter {
-    /// Creates a zeroed counter.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Total bits pushed so far.
-    #[inline]
-    pub fn bits(&self) -> u64 {
-        self.bits
-    }
-}
-
-impl BitSink for BitCounter {
-    #[inline]
-    fn push_bit(&mut self, _bit: bool) {
-        self.bits += 1;
-    }
-
-    #[inline]
-    fn push_bits(&mut self, _value: u64, width: u32) {
-        self.bits += u64::from(width);
+        let value = value & (u64::MAX >> (64 - width));
+        let b = self.len % 64;
+        if b == 0 {
+            self.words.push(value);
+        } else {
+            *self.words.last_mut().expect("a partial word is stored") |= value << b;
+            if b + width as usize > 64 {
+                self.words.push(value >> (64 - b));
+            }
+        }
+        self.len += width as usize;
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     #[test]
     fn bit_roundtrip_lifo() {
@@ -247,14 +242,6 @@ mod tests {
     }
 
     #[test]
-    fn counter_counts() {
-        let mut c = BitCounter::new();
-        c.push_bit(true);
-        c.push_bits(7, 9);
-        assert_eq!(c.bits(), 10);
-    }
-
-    #[test]
     fn canonical_equality_after_pop() {
         let mut a = BitStack::new();
         a.push_bits(0xFFFF, 16);
@@ -262,5 +249,89 @@ mod tests {
         b.push_bit(true);
         b.pop_bit();
         assert_eq!(a, b, "popping restores canonical representation");
+    }
+
+    #[test]
+    #[should_panic(expected = "more than 64 bits")]
+    fn push_wider_than_a_word_panics() {
+        BitStack::new().push_bits(u64::MAX, 65);
+    }
+
+    #[derive(Debug, Clone)]
+    enum Op {
+        PushBit(bool),
+        PushBits(u64, u32),
+        PopBit,
+        PopBits(u32),
+        TryPopBits(u32),
+    }
+
+    fn op() -> impl Strategy<Value = Op> {
+        prop_oneof![
+            any::<bool>().prop_map(Op::PushBit),
+            (any::<u64>(), 0u32..65).prop_map(|(v, w)| Op::PushBits(v, w)),
+            Just(Op::PopBit),
+            (0u32..65).prop_map(Op::PopBits),
+            (0u32..66).prop_map(Op::TryPopBits),
+        ]
+    }
+
+    /// The words a canonical stack holding `bits` must have.
+    fn packed(bits: &[bool]) -> Vec<u64> {
+        let mut words = vec![0u64; bits.len().div_ceil(64)];
+        for (i, _) in bits.iter().enumerate().filter(|(_, &b)| b) {
+            words[i / 64] |= 1 << (i % 64);
+        }
+        words
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// Random push/pop sequences agree with a `Vec<bool>` model on
+        /// every popped value, the length and the canonical words.
+        #[test]
+        fn matches_a_bit_vector_model(ops in prop::collection::vec(op(), 0..300)) {
+            let mut s = BitStack::new();
+            let mut model: Vec<bool> = Vec::new();
+            let pop_model = |model: &mut Vec<bool>, width: u32| {
+                (0..width).rev().fold(0u64, |v, i| v | (u64::from(model.pop().unwrap()) << i))
+            };
+            for op in ops {
+                match op {
+                    Op::PushBit(b) => {
+                        s.push_bit(b);
+                        model.push(b);
+                    }
+                    Op::PushBits(v, w) => {
+                        s.push_bits(v, w);
+                        model.extend((0..w).map(|i| (v >> i) & 1 == 1));
+                    }
+                    Op::PopBit => {
+                        if let Some(b) = model.pop() {
+                            prop_assert_eq!(s.pop_bit(), b);
+                        }
+                    }
+                    Op::PopBits(w) => {
+                        if model.len() >= w as usize {
+                            prop_assert_eq!(s.pop_bits(w), pop_model(&mut model, w));
+                        }
+                    }
+                    Op::TryPopBits(w) => {
+                        if w <= 64 && model.len() >= w as usize {
+                            prop_assert_eq!(s.try_pop_bits(w), Some(pop_model(&mut model, w)));
+                        } else {
+                            let before = s.clone();
+                            prop_assert_eq!(s.try_pop_bits(w), None);
+                            prop_assert_eq!(&s, &before, "a failed try_pop_bits mutated the stack");
+                        }
+                    }
+                }
+                prop_assert_eq!(s.len(), model.len());
+                let (words, len) = s.raw_parts();
+                prop_assert_eq!(words, &packed(&model)[..]);
+                prop_assert_eq!(BitStack::from_raw_parts(words.to_vec(), len), Ok(s.clone()));
+            }
+        }
     }
 }

@@ -77,16 +77,22 @@ impl Table {
     }
 }
 
-/// Hashes a nearest-first context slice of `k` values.
+/// The hash of an empty context.
+pub(crate) const HASH_SEED: u64 = 0x9E37_79B9_7F4A_7C15;
+
+/// Folds one more context value into a context hash.
+#[inline]
+pub(crate) fn hash_step(h: u64, v: u64) -> u64 {
+    let h = (h ^ v).wrapping_mul(0x100_0000_01B3);
+    h ^ (h >> 29)
+}
+
+/// Hashes a nearest-first context slice of `k` values. The hash of the
+/// first `k - 1` values is a prefix of this fold, which method
+/// selection uses to score every order in one pass.
 #[inline]
 fn hash_ctx(ctx: &[u64]) -> u64 {
-    let mut h: u64 = 0x9E37_79B9_7F4A_7C15;
-    for &v in ctx {
-        h ^= v;
-        h = h.wrapping_mul(0x100_0000_01B3);
-        h ^= h >> 29;
-    }
-    h
+    ctx.iter().fold(HASH_SEED, |h, &v| hash_step(h, v))
 }
 
 /// A move-to-front table of the `n` most recent values (or strides).

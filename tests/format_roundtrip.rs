@@ -178,3 +178,35 @@ fn v1_fixtures_still_load() {
         );
     }
 }
+
+/// The sealed tier-2 image of every bundled program is pinned by its
+/// length and CRC-32. The golden replay corpus covers three traces;
+/// this covers every predictor family on all nine programs, so a
+/// codec or container change that moves a single byte fails here.
+#[test]
+fn sealed_tier2_bytes_are_pinned() {
+    let pinned: [(&str, usize, u32); 9] = [
+        ("go-like", 2_021_451, 0x0EED_7491),
+        ("gcc-like", 868_341, 0xAB17_31B9),
+        ("li-like", 149_944, 0x48C5_1E6D),
+        ("gzip-like", 4_886_851, 0x045D_74DB),
+        ("mcf-like", 3_776_449, 0x6796_4175),
+        ("parser-like", 1_494_723, 0x9F3B_2920),
+        ("vortex-like", 1_308_473, 0x4E9A_A113),
+        ("bzip2-like", 1_959_856, 0xF1B4_0D57),
+        ("twolf-like", 819_526, 0xCB48_F2B4),
+    ];
+    let mut got = Vec::new();
+    for kind in Kind::all() {
+        let (_p, wet) = build(kind, 20_000, true, 1);
+        let bytes = v2_bytes(&wet);
+        got.push((kind.name(), bytes.len(), wet_core::crc::crc32(&bytes)));
+    }
+    for ((name, len, crc), (want_name, want_len, want_crc)) in got.iter().zip(pinned) {
+        assert_eq!(
+            (*name, *len, *crc),
+            (want_name, want_len, want_crc),
+            "{name}: sealed tier-2 bytes changed (all: {got:x?})"
+        );
+    }
+}
