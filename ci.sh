@@ -13,6 +13,12 @@ cargo build --release --offline --locked --workspace
 echo "==> cargo test"
 cargo test -q --offline --locked --workspace
 
+echo "==> cargo test --release: codec and container kernels"
+# The CRC-32 folding path is unsafe SIMD chosen at run time, and the
+# stream codec runs wrapping arithmetic; the debug-profile run above
+# does not build either the way the release binaries do.
+cargo test --release -q --offline --locked -p wet-core -p wet-stream
+
 echo "==> perfbench: build and unit tests"
 # perfbench is its own workspace, so the workspace build above never
 # compiles it; it calls the query and store API directly. .bench_build/

@@ -1,7 +1,8 @@
 //! Criterion micro-benchmarks for the tier-2 stream compressor: per-
 //! method compression and decompression throughput on the three stream
 //! shapes the WET produces (timestamp-like, value-locality-like,
-//! random), plus cursor stepping and the Sequitur baseline.
+//! random), plus cursor stepping, whole-stream decode and the Sequitur
+//! baseline.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use std::hint::black_box;
@@ -94,5 +95,26 @@ fn bench_traverse(c: &mut Criterion) {
     g.finish();
 }
 
-criterion_group!(benches, bench_compress, bench_traverse);
+/// Whole-stream decode with the window left at the right end, where
+/// compression leaves it, against the window walk it replaced. The
+/// throughput is bytes of decoded `u64` values per second.
+fn bench_decode(c: &mut Criterion) {
+    let cfg = StreamConfig::default();
+    let shapes = [("ts", timestamp_like()), ("vals", value_like()), ("rand", random_like())];
+    let mut g = c.benchmark_group("decode");
+    g.sample_size(10);
+    g.throughput(Throughput::Bytes(8 * N as u64));
+    for (name, data) in &shapes {
+        let stream = CompressedStream::compress_auto(data, &cfg);
+        g.bench_with_input(BenchmarkId::new("one_direction", name), &stream, |b, s| {
+            b.iter(|| black_box(s.decode()));
+        });
+        g.bench_with_input(BenchmarkId::new("window_walk", name), &stream, |b, s| {
+            b.iter(|| black_box(s.clone().decompress()));
+        });
+    }
+    g.finish();
+}
+
+criterion_group!(benches, bench_compress, bench_traverse, bench_decode);
 criterion_main!(benches);

@@ -6,9 +6,9 @@
 //! without reference to any other stream. The CF walks and slices read
 //! element by element through a per-query [`crate::Cursor`]; this
 //! module instead decodes whole streams through **snapshots**
-//! ([`crate::seq::Seq::try_to_vec_snapshot`] clones a stream and
-//! decompresses the clone), so any number of workers can extract from
-//! one `&Wet` concurrently.
+//! ([`crate::seq::Seq::try_to_vec_snapshot`] decodes a stored stream
+//! in place without moving its window), so any number of workers can
+//! extract from one `&Wet` concurrently.
 //!
 //! Every lookup here replicates the slice resolver's semantics exactly —
 //! same intra-edge preference order, same incoming-edge order, same

@@ -10,6 +10,7 @@
 //! tier-2 compression".
 
 use crate::graph::{NodeId, Wet};
+use std::collections::hash_map::Entry;
 use std::collections::HashMap;
 use std::hash::{BuildHasherDefault, Hasher};
 use wet_ir::StmtId;
@@ -51,9 +52,9 @@ impl Seq {
         !matches!(self, Seq::Unavailable(_))
     }
 
-    /// Decompresses the full sequence: tier-2 streams are cloned first
-    /// and the clone is consumed, so the stored stream never moves.
-    /// This is what lets the whole-trace query engine extract from a
+    /// Decompresses the full sequence. A tier-2 stream is decoded in
+    /// place without moving its window ([`CompressedStream::decode`]),
+    /// which is what lets the whole-trace query engine extract from a
     /// shared `&Wet` on many threads at once.
     ///
     /// # Panics
@@ -61,7 +62,7 @@ impl Seq {
     pub fn to_vec_snapshot(&self) -> Vec<u64> {
         match self {
             Seq::Raw(v) => v.clone(),
-            Seq::Compressed(s) => s.clone().decompress(),
+            Seq::Compressed(s) => s.decode(),
             Seq::Unavailable(_) => panic!("read from unavailable (salvage-lost) sequence"),
         }
     }
@@ -70,11 +71,11 @@ impl Seq {
     /// `None` when the sequence is unavailable or its compressed form
     /// is internally inconsistent (claimed length exceeds stored
     /// entries). Never panics and never allocates beyond the data
-    /// actually present. Tier-2 work happens on a clone.
+    /// actually present.
     pub fn try_to_vec_snapshot(&self) -> Option<Vec<u64>> {
         match self {
             Seq::Raw(v) => Some(v.clone()),
-            Seq::Compressed(s) => s.clone().try_decompress(),
+            Seq::Compressed(s) => s.try_decode(),
             Seq::Unavailable(_) => None,
         }
     }
@@ -105,21 +106,23 @@ impl Seq {
 /// A tier-2 [`CompressedStream`] is read through its §4 window, which
 /// moves with every read; where that window sits belongs to one
 /// traversal, not to the data. So the stored streams of a `Wet` never
-/// move: the first time a cursor reads a compressed sequence it clones
-/// the stream and walks its own copy from then on. Nearby reads stay
-/// cheap in either direction, any number of queries read one `&Wet`
-/// at once, and the bytes [`Wet::write_to`] writes do not depend on
-/// which queries ran. Raw sequences are read in place.
+/// move: the first time a cursor slides on a compressed sequence it
+/// clones the stream and walks its own copy from then on. Nearby reads
+/// stay cheap in either direction, any number of queries read one
+/// `&Wet` at once, and the bytes [`Wet::write_to`] writes do not depend
+/// on which queries ran. Raw sequences are read in place.
 ///
 /// Sliding costs the distance between reads, so a cursor rents before
 /// it buys: it counts the window steps it spends on each stream, and
 /// once a read would bring that count to the stream's length it decodes
-/// its clone once into a vector, drops the clone, and from then on
+/// the stream once into a vector ([`CompressedStream::decode`], which
+/// reads the stored stream in place), drops any clone, and from then on
 /// indexes (`get`) or binary-searches (`find_sorted`) the vector. A
-/// query thus pays at most about twice the cheaper of sliding and
-/// decoding. Decoded bytes count against the WET's
-/// `serve.cache_budget_bytes` (0 = unlimited); a decode that would
-/// exceed it is not made, and the cursor keeps sliding.
+/// first read that already pays for a decode never clones. A query thus
+/// pays at most about twice the cheaper of sliding and decoding.
+/// Decoded bytes count against the WET's `serve.cache_budget_bytes`
+/// (0 = unlimited); a decode that would exceed it is not made, and the
+/// cursor keeps sliding.
 pub struct Cursor<'w> {
     wet: &'w Wet,
     /// This query's readers of the streams it has read, keyed by the
@@ -134,8 +137,7 @@ pub struct Cursor<'w> {
 /// The work a [`Cursor`] has done, for the `query.cursor_*` metrics.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub(crate) struct CursorStats {
-    /// Window steps spent sliding to reads (a decode's own sweep, at
-    /// most 1.5 stream lengths, is not counted).
+    /// Window steps spent sliding to reads (decodes move no window).
     steps: u64,
     /// Streams decoded.
     decodes: u64,
@@ -164,19 +166,6 @@ fn slide(s: &mut CompressedStream, i: usize, steps: &mut u64) -> u64 {
     let v = s.get(i);
     *steps += from.abs_diff(s.window_start()) as u64;
     v
-}
-
-/// Decodes a whole stream from wherever its window sits, sweeping from
-/// the nearer end.
-fn decode(s: &mut CompressedStream) -> Vec<u64> {
-    let n = s.len();
-    if s.window_start() < (n / 2) as isize {
-        (0..n).map(|i| s.get(i)).collect()
-    } else {
-        let mut v: Vec<u64> = (0..n).rev().map(|i| s.get(i)).collect();
-        v.reverse();
-        v
-    }
 }
 
 /// Hashes a stream address with one multiply: the keys are distinct
@@ -247,15 +236,20 @@ impl<'w> Cursor<'w> {
     /// length and the budget has room.
     fn reader(&mut self, stored: &'w CompressedStream, far: impl FnOnce(&CompressedStream) -> u64) -> &mut Reader {
         let room = self.room_for(stored.len());
-        let r = self
-            .readers
-            .entry(stored as *const CompressedStream as usize)
-            .or_insert_with(|| Reader { steps: 0, form: Form::Window(stored.clone()) });
-        if let Form::Window(s) = &mut r.form {
+        let r = match self.readers.entry(stored as *const CompressedStream as usize) {
+            Entry::Occupied(e) => e.into_mut(),
+            // A first read that pays for a decode needs no window of its
+            // own: the stored stream decodes in place.
+            Entry::Vacant(e) if room && far(stored) >= stored.len() as u64 => {
+                self.decoded_bytes += 8 * stored.len() as u64;
+                return e.insert(Reader { steps: 0, form: Form::Decoded(stored.decode()) });
+            }
+            Entry::Vacant(e) => return e.insert(Reader { steps: 0, form: Form::Window(stored.clone()) }),
+        };
+        if let Form::Window(s) = &r.form {
             if room && r.steps.saturating_add(far(s)) >= s.len() as u64 {
-                let v = decode(s);
-                self.decoded_bytes += 8 * v.len() as u64;
-                r.form = Form::Decoded(v);
+                self.decoded_bytes += 8 * s.len() as u64;
+                r.form = Form::Decoded(s.decode());
             }
         }
         r

@@ -21,6 +21,13 @@
 //! The stream is padded with `n` zeros at each end (paper: "we assume
 //! that the stream is extended by n values each at the two ends") so the
 //! window always has full context.
+//!
+//! Reading the *whole* stream needs no window movement: the values left
+//! of the window are the FR entries popped top first, each against the
+//! values right of it, and the values right of the window are the BL
+//! entries popped top first, each against the values left of it. Each
+//! side touches only its own table, so [`CompressedStream::try_decode`]
+//! reads both stacks in place and copies one table per side.
 
 use crate::bitbuf::BitStack;
 use crate::predict::{hash_step, Method, PredState, Side, HASH_SEED};
@@ -328,13 +335,12 @@ impl CompressedStream {
         Some(self.window[(i - self.win_start) as usize])
     }
 
-    /// Checked [`decompress`](Self::decompress): the full value
-    /// sequence, or `None` if the stream's entries run out before its
-    /// claimed length (corrupt input). The output vector grows
-    /// incrementally — each decoded value consumes at least one stored
-    /// bit, so a forged length cannot force an allocation larger than
-    /// the actual payload. On `None` the stream is partially mutated
-    /// and must be discarded.
+    /// Checked [`decompress`](Self::decompress) by walking the window:
+    /// the full value sequence, or `None` if the stream's entries run
+    /// out before its claimed length (corrupt input). On `None` the
+    /// stream is partially mutated and must be discarded.
+    /// [`try_decode`](Self::try_decode) returns the same without moving
+    /// the window; this walk is its reference.
     pub fn try_decompress(&mut self) -> Option<Vec<u64>> {
         let mut out = Vec::new();
         for i in 0..self.len {
@@ -343,11 +349,53 @@ impl CompressedStream {
         Some(out)
     }
 
-    /// Verifies the stream decodes over its whole claimed length, on a
-    /// clone so the cursor stays put. This is the tier-2 cursor/payload
-    /// consistency check `Wet::validate` runs on deserialized traces.
+    /// The whole stream, decoded without moving the window.
+    ///
+    /// # Panics
+    /// Panics when the stream is corrupt (see [`try_decode`](Self::try_decode)).
+    pub fn decode(&self) -> Vec<u64> {
+        self.try_decode().expect("compressed stream payload inconsistent")
+    }
+
+    /// The whole stream, or `None` exactly when
+    /// [`try_decompress`](Self::try_decompress) on a clone is `None`.
+    ///
+    /// Each side is popped once, top first, from a read-only view of
+    /// its stack: FR entries give the values left of the window,
+    /// nearest first, each against the `w` values right of it; BL
+    /// entries give the values right of the window against the `w`
+    /// values left of it. A walk that went to index 0 and back would
+    /// push and pop the same BL entries on its way and leave the BL
+    /// table as it found it, so one copy of each side's table gives the
+    /// same values with one predictor step per value (the walk takes two
+    /// to four) and no clone of the stacks. Every entry holds at least one bit, so a claimed
+    /// length the stacks cannot hold is refused before anything is
+    /// allocated.
+    pub fn try_decode(&self) -> Option<Vec<u64>> {
+        let len = self.len as isize;
+        let left = self.win_start.clamp(0, len) as usize;
+        let right = (self.win_start + self.w as isize).clamp(0, len) as usize;
+        if left > self.fr.len() || self.len - right > self.bl.len() {
+            return None;
+        }
+        let mut out = vec![0u64; self.len];
+        for (i, &v) in (self.win_start..).zip(&self.window) {
+            if (0..len).contains(&i) {
+                out[i as usize] = v;
+            }
+        }
+        let (lo, hi) = out.split_at_mut(right);
+        let fr = lo[..left].iter_mut().rev();
+        self.pred.side(Side::Fr).decode(self.ctx_left_edge(), self.w, &mut self.fr.reader(), fr)?;
+        self.pred.side(Side::Bl).decode(self.ctx_right_edge(), self.w, &mut self.bl.reader(), hi.iter_mut())?;
+        Some(out)
+    }
+
+    /// Verifies the stream decodes over its whole claimed length without
+    /// moving the cursor. This is the tier-2 cursor/payload consistency
+    /// check `Wet::validate` runs on deserialized traces.
     pub fn check_integrity(&self) -> bool {
-        self.clone().try_decompress().is_some()
+        self.try_decode().is_some()
     }
 
     /// Reads index `i` without moving the cursor, if it is inside the

@@ -9,6 +9,10 @@
 //! Entries are written *payload first, flag last*, so that popping reads
 //! the 1-bit hit/miss flag first and then knows how many payload bits to
 //! pop.
+//!
+//! A whole-stream decode pops every entry of a stack exactly once, so it
+//! reads the stored words in place through a [`BitReader`] instead of
+//! popping a copy of the stack.
 
 /// Anything that accepts pushed bits: a [`BitStack`], or the
 /// unidirectional baseline's forward bit vector.
@@ -20,6 +24,17 @@ pub trait BitSink {
     /// # Panics
     /// [`BitStack`] panics if `width > 64`.
     fn push_bits(&mut self, value: u64, width: u32);
+}
+
+/// Anything entries can be popped from, top first: a [`BitStack`], which
+/// releases what it pops, or a read-only [`BitReader`] over one.
+pub trait BitSource {
+    /// Pops a single bit; `None` when no bits are left.
+    fn try_pop_bit(&mut self) -> Option<bool>;
+    /// Pops `width` bits pushed by a matching
+    /// [`push_bits`](BitSink::push_bits); `None`, with nothing popped,
+    /// when fewer than `width` bits are left or `width > 64`.
+    fn try_pop_bits(&mut self, width: u32) -> Option<u64>;
 }
 
 /// A growable stack of bits with LIFO semantics.
@@ -97,25 +112,10 @@ impl BitStack {
         v & (u64::MAX >> (64 - width))
     }
 
-    /// [`pop_bit`](Self::pop_bit) that reports underflow instead of
-    /// panicking — the building block of the checked traversal path
-    /// used on untrusted (deserialized) streams.
-    #[inline]
-    pub fn try_pop_bit(&mut self) -> Option<bool> {
-        if self.len == 0 {
-            return None;
-        }
-        Some(self.pop_bit())
-    }
-
-    /// [`pop_bits`](Self::pop_bits) that reports underflow instead of
-    /// panicking. On `None` the stack is left unchanged.
-    #[inline]
-    pub fn try_pop_bits(&mut self, width: u32) -> Option<u64> {
-        if width > 64 || self.len < width as usize {
-            return None;
-        }
-        Some(self.pop_bits(width))
+    /// A read-only reader that pops this stack's bits top first without
+    /// changing it.
+    pub fn reader(&self) -> BitReader<'_> {
+        BitReader { words: &self.words, len: self.len }
     }
 
     /// Heap bytes used by the backing storage.
@@ -145,6 +145,63 @@ impl BitStack {
             }
         }
         Ok(BitStack { words, len })
+    }
+}
+
+/// The checked pops: the building block of the traversal path used on
+/// untrusted (deserialized) streams.
+impl BitSource for BitStack {
+    #[inline]
+    fn try_pop_bit(&mut self) -> Option<bool> {
+        if self.len == 0 {
+            return None;
+        }
+        Some(self.pop_bit())
+    }
+
+    #[inline]
+    fn try_pop_bits(&mut self, width: u32) -> Option<u64> {
+        if width > 64 || self.len < width as usize {
+            return None;
+        }
+        Some(self.pop_bits(width))
+    }
+}
+
+/// Pops the bits of a borrowed [`BitStack`] top first, as the stack's own
+/// pops would return them, while the stack stays unchanged.
+#[derive(Debug, Clone)]
+pub struct BitReader<'a> {
+    words: &'a [u64],
+    /// Bits not yet popped; the next pop reads just below this index.
+    len: usize,
+}
+
+impl BitSource for BitReader<'_> {
+    #[inline]
+    fn try_pop_bit(&mut self) -> Option<bool> {
+        self.len = self.len.checked_sub(1)?;
+        Some((self.words[self.len / 64] >> (self.len % 64)) & 1 == 1)
+    }
+
+    #[inline]
+    fn try_pop_bits(&mut self, width: u32) -> Option<u64> {
+        if width > 64 || self.len < width as usize {
+            return None;
+        }
+        if width == 0 {
+            return Some(0);
+        }
+        // The value is the top `width` bits read upward from the new
+        // length; it spans at most two words. Bits above the stack's top
+        // are zero in a canonical stack, and masked off in any case.
+        self.len -= width as usize;
+        let (w, b) = (self.len / 64, self.len % 64);
+        let mut v = self.words[w] >> b;
+        if b + width as usize > 64 {
+            v |= self.words[w + 1] << (64 - b);
+        }
+        Some(v & (u64::MAX >> (64 - width)))
     }
 }
 

@@ -17,7 +17,7 @@
 //! §5 "Selection"): FCM, differential FCM (stride FCM), last-*n* with
 //! move-to-front, and last-*n* stride.
 
-use crate::bitbuf::{BitSink, BitStack};
+use crate::bitbuf::{BitSink, BitSource, BitStack};
 
 /// Which side of the uncompressed window an operation serves.
 ///
@@ -33,6 +33,18 @@ pub enum Side {
     Fr,
     /// Backward-compressed-with-left-context entries (right of window).
     Bl,
+}
+
+impl Side {
+    /// The FR or BL one of a pair of per-side tables.
+    #[inline]
+    fn pick<T>(self, fr: T, bl: T) -> T {
+        if self == Side::Fr {
+            fr
+        } else {
+            bl
+        }
+    }
 }
 
 /// A direct-mapped prediction table.
@@ -57,6 +69,19 @@ impl Table {
     /// Heap bytes used.
     pub fn heap_bytes(&self) -> usize {
         self.slots.capacity() * 8
+    }
+
+    /// Undoes one compress into the slot `hash` picks: a hit returns the
+    /// slot; a miss returns it and puts back the evicted prediction.
+    #[inline]
+    fn uncompress(&mut self, hash: u64, inp: &mut impl BitSource) -> Option<u64> {
+        let i = self.idx(hash);
+        if inp.try_pop_bit()? {
+            Some(self.slots[i])
+        } else {
+            let evicted = inp.try_pop_bits(64)?;
+            Some(std::mem::replace(&mut self.slots[i], evicted))
+        }
     }
 
     /// The slot contents (for serialization).
@@ -147,43 +172,21 @@ impl MtfTable {
         Ok(MtfTable { vals, index_bits })
     }
 
-    /// Exact inverse of [`compress`](Self::compress).
-    fn uncompress(&mut self, inp: &mut BitStack) -> u64 {
-        if inp.pop_bit() {
-            let j = inp.pop_bits(self.index_bits) as usize;
-            let v = self.vals[0];
-            // Undo move-to-front: [v, ..] -> [.., v at j, ..]
-            self.vals[..=j].rotate_left(1);
-            v
-        } else {
-            let diff = inp.pop_bits(64);
-            let v = self.vals[0];
-            let evicted = v.wrapping_sub(diff);
-            self.vals.rotate_left(1);
-            let n = self.vals.len();
-            self.vals[n - 1] = evicted;
-            v
-        }
-    }
-
-    /// [`uncompress`](Self::uncompress) that reports bit-stack
-    /// underflow instead of panicking. On `None` the table and stack
-    /// are partially mutated and must be discarded.
-    fn try_uncompress(&mut self, inp: &mut BitStack) -> Option<u64> {
+    /// Exact inverse of [`compress`](Self::compress); `None` when the
+    /// source runs out, leaving the table partially mutated.
+    fn uncompress(&mut self, inp: &mut impl BitSource) -> Option<u64> {
+        let v = self.vals[0];
         if inp.try_pop_bit()? {
             let j = inp.try_pop_bits(self.index_bits)? as usize;
-            let v = self.vals[0];
+            // Undo move-to-front: [v, ..] -> [.., v at j, ..]
             self.vals[..=j].rotate_left(1);
-            Some(v)
         } else {
-            let diff = inp.try_pop_bits(64)?;
-            let v = self.vals[0];
-            let evicted = v.wrapping_sub(diff);
+            let evicted = v.wrapping_sub(inp.try_pop_bits(64)?);
             self.vals.rotate_left(1);
             let n = self.vals.len();
             self.vals[n - 1] = evicted;
-            Some(v)
         }
+        Some(v)
     }
 }
 
@@ -361,7 +364,7 @@ impl PredState {
     pub fn compress(&mut self, side: Side, ctx: &[u64], v: u64, out: &mut impl BitSink) -> bool {
         match self {
             PredState::Fcm { order, fr, bl } => {
-                let t = if side == Side::Fr { fr } else { bl };
+                let t = side.pick(fr, bl);
                 let i = t.idx(hash_ctx(&ctx[..*order as usize]));
                 if t.slots[i] == v {
                     out.push_bit(true);
@@ -376,7 +379,7 @@ impl PredState {
                 }
             }
             PredState::Dfcm { order, fr, bl } => {
-                let t = if side == Side::Fr { fr } else { bl };
+                let t = side.pick(fr, bl);
                 let k = *order as usize;
                 let mut strides = [0u64; 4];
                 for j in 0..k {
@@ -395,11 +398,11 @@ impl PredState {
                 }
             }
             PredState::LastN { fr, bl } => {
-                let tb = if side == Side::Fr { fr } else { bl };
+                let tb = side.pick(fr, bl);
                 tb.compress(v, out)
             }
             PredState::LastNStride { fr, bl } => {
-                let tb = if side == Side::Fr { fr } else { bl };
+                let tb = side.pick(fr, bl);
                 tb.compress(v.wrapping_sub(ctx[0]), out)
             }
         }
@@ -407,46 +410,11 @@ impl PredState {
 
     /// Exact inverse of [`compress`](Self::compress): pops the entry and
     /// returns the value, rolling the predictor state back.
+    ///
+    /// # Panics
+    /// Panics when the stack runs out (a corrupt stream).
     pub fn uncompress(&mut self, side: Side, ctx: &[u64], inp: &mut BitStack) -> u64 {
-        match self {
-            PredState::Fcm { order, fr, bl } => {
-                let t = if side == Side::Fr { fr } else { bl };
-                let i = t.idx(hash_ctx(&ctx[..*order as usize]));
-                if inp.pop_bit() {
-                    t.slots[i]
-                } else {
-                    let evicted = inp.pop_bits(64);
-                    let v = t.slots[i];
-                    t.slots[i] = evicted;
-                    v
-                }
-            }
-            PredState::Dfcm { order, fr, bl } => {
-                let t = if side == Side::Fr { fr } else { bl };
-                let k = *order as usize;
-                let mut strides = [0u64; 4];
-                for j in 0..k {
-                    strides[j] = ctx[j].wrapping_sub(ctx[j + 1]);
-                }
-                let i = t.idx(hash_ctx(&strides[..k]));
-                if inp.pop_bit() {
-                    ctx[0].wrapping_add(t.slots[i])
-                } else {
-                    let evicted = inp.pop_bits(64);
-                    let stride = t.slots[i];
-                    t.slots[i] = evicted;
-                    ctx[0].wrapping_add(stride)
-                }
-            }
-            PredState::LastN { fr, bl } => {
-                let tb = if side == Side::Fr { fr } else { bl };
-                tb.uncompress(inp)
-            }
-            PredState::LastNStride { fr, bl } => {
-                let tb = if side == Side::Fr { fr } else { bl };
-                ctx[0].wrapping_add(tb.uncompress(inp))
-            }
-        }
+        self.try_uncompress(side, ctx, inp).expect("pop from empty BitStack")
     }
 
     /// [`uncompress`](Self::uncompress) that reports bit-stack
@@ -456,46 +424,21 @@ impl PredState {
     /// discarded.
     pub fn try_uncompress(&mut self, side: Side, ctx: &[u64], inp: &mut BitStack) -> Option<u64> {
         match self {
-            PredState::Fcm { order, fr, bl } => {
-                let t = if side == Side::Fr { fr } else { bl };
-                let i = t.idx(hash_ctx(ctx.get(..*order as usize)?));
-                if inp.try_pop_bit()? {
-                    Some(t.slots[i])
-                } else {
-                    let evicted = inp.try_pop_bits(64)?;
-                    let v = t.slots[i];
-                    t.slots[i] = evicted;
-                    Some(v)
-                }
-            }
-            PredState::Dfcm { order, fr, bl } => {
-                let t = if side == Side::Fr { fr } else { bl };
-                let k = *order as usize;
-                if k > 3 || ctx.len() < k + 1 {
-                    return None;
-                }
-                let mut strides = [0u64; 4];
-                for j in 0..k {
-                    strides[j] = ctx[j].wrapping_sub(ctx[j + 1]);
-                }
-                let i = t.idx(hash_ctx(&strides[..k]));
-                if inp.try_pop_bit()? {
-                    Some(ctx[0].wrapping_add(t.slots[i]))
-                } else {
-                    let evicted = inp.try_pop_bits(64)?;
-                    let stride = t.slots[i];
-                    t.slots[i] = evicted;
-                    Some(ctx[0].wrapping_add(stride))
-                }
-            }
-            PredState::LastN { fr, bl } => {
-                let tb = if side == Side::Fr { fr } else { bl };
-                tb.try_uncompress(inp)
-            }
-            PredState::LastNStride { fr, bl } => {
-                let tb = if side == Side::Fr { fr } else { bl };
-                Some(ctx.first()?.wrapping_add(tb.try_uncompress(inp)?))
-            }
+            PredState::Fcm { order, fr, bl } => fcm_uncompress(side.pick(fr, bl), *order, ctx, inp),
+            PredState::Dfcm { order, fr, bl } => dfcm_uncompress(side.pick(fr, bl), *order, ctx, inp),
+            PredState::LastN { fr, bl } => side.pick(fr, bl).uncompress(inp),
+            PredState::LastNStride { fr, bl } => stride_uncompress(side.pick(fr, bl), ctx, inp),
+        }
+    }
+
+    /// A copy of `side`'s table alone: all a one-direction decode of
+    /// that side's entries reads or writes.
+    pub(crate) fn side(&self, side: Side) -> SidePred {
+        match self {
+            PredState::Fcm { order, fr, bl } => SidePred::Fcm { order: *order, table: side.pick(fr, bl).clone() },
+            PredState::Dfcm { order, fr, bl } => SidePred::Dfcm { order: *order, table: side.pick(fr, bl).clone() },
+            PredState::LastN { fr, bl } => SidePred::LastN(side.pick(fr, bl).clone()),
+            PredState::LastNStride { fr, bl } => SidePred::LastNStride(side.pick(fr, bl).clone()),
         }
     }
 
@@ -508,6 +451,82 @@ impl PredState {
             }
         }
     }
+}
+
+/// One side's predictor table, owned: the state a decode that pops only
+/// that side's entries needs.
+pub(crate) enum SidePred {
+    Fcm { order: u32, table: Table },
+    Dfcm { order: u32, table: Table },
+    LastN(MtfTable),
+    LastNStride(MtfTable),
+}
+
+impl SidePred {
+    /// Pops entries from `inp` into `slots` in order, starting from the
+    /// nearest-first context `ctx` of a `w`-value window: each value
+    /// decoded becomes the nearest context value of the next.
+    pub(crate) fn decode<'a>(
+        mut self,
+        ctx: [u64; 4],
+        w: usize,
+        inp: &mut impl BitSource,
+        slots: impl Iterator<Item = &'a mut u64>,
+    ) -> Option<()> {
+        // Like the window walk's, the context holds zeros past `w`,
+        // which a forged context order may read.
+        let keep: [u64; 4] = std::array::from_fn(|j| if j < w { !0 } else { 0 });
+        fn run<'a>(
+            mut ctx: [u64; 4],
+            keep: [u64; 4],
+            slots: impl Iterator<Item = &'a mut u64>,
+            mut step: impl FnMut(&[u64; 4]) -> Option<u64>,
+        ) -> Option<()> {
+            for slot in slots {
+                let v = step(&ctx)?;
+                ctx = [v, ctx[0] & keep[1], ctx[1] & keep[2], ctx[2] & keep[3]];
+                *slot = v;
+            }
+            Some(())
+        }
+        // One loop per family: the family is matched once per stream,
+        // not once per value.
+        match &mut self {
+            SidePred::Fcm { order, table } => run(ctx, keep, slots, |c| fcm_uncompress(table, *order, c, inp)),
+            SidePred::Dfcm { order, table } => run(ctx, keep, slots, |c| dfcm_uncompress(table, *order, c, inp)),
+            SidePred::LastN(t) => run(ctx, keep, slots, |_| t.uncompress(inp)),
+            SidePred::LastNStride(t) => run(ctx, keep, slots, |c| stride_uncompress(t, c, inp)),
+        }
+    }
+}
+
+/// Undoes one FCM compress: the table slot is hashed from the first
+/// `order` context values.
+#[inline]
+fn fcm_uncompress(t: &mut Table, order: u32, ctx: &[u64], inp: &mut impl BitSource) -> Option<u64> {
+    t.uncompress(hash_ctx(ctx.get(..order as usize)?), inp)
+}
+
+/// Undoes one DFCM compress: the slot is hashed from the first `order`
+/// context strides and holds the stride from `ctx[0]`.
+#[inline]
+fn dfcm_uncompress(t: &mut Table, order: u32, ctx: &[u64], inp: &mut impl BitSource) -> Option<u64> {
+    let k = order as usize;
+    if k > 3 || ctx.len() < k + 1 {
+        return None;
+    }
+    let mut strides = [0u64; 4];
+    for j in 0..k {
+        strides[j] = ctx[j].wrapping_sub(ctx[j + 1]);
+    }
+    Some(ctx[0].wrapping_add(t.uncompress(hash_ctx(&strides[..k]), inp)?))
+}
+
+/// Undoes one last-*n*-stride compress: the list holds strides from
+/// `ctx[0]`.
+#[inline]
+fn stride_uncompress(t: &mut MtfTable, ctx: &[u64], inp: &mut impl BitSource) -> Option<u64> {
+    Some(ctx.first()?.wrapping_add(t.uncompress(inp)?))
 }
 
 #[cfg(test)]
@@ -601,7 +620,7 @@ mod tests {
             t.compress(v, &mut s);
         }
         for v in [1u64, 2, 3, 1, 9, 2, 2, 4, 1].iter().rev() {
-            assert_eq!(t.uncompress(&mut s), *v);
+            assert_eq!(t.uncompress(&mut s), Some(*v));
         }
         assert_eq!(t, orig);
     }

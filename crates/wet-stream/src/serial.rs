@@ -62,23 +62,24 @@ pub fn r_u64(r: &mut impl Read) -> io::Result<u64> {
 /// front.
 pub const PREALLOC_CAP: usize = 1 << 13;
 
-/// Reads a length-prefixed `u64` vector. Pre-allocation is capped at
-/// [`PREALLOC_CAP`] elements and the vector grows in bounded chunks as
-/// data actually arrives, so a forged length prefix costs at most the
-/// bytes the reader can really produce (plus one chunk).
+/// Reads a length-prefixed `u64` vector, one `read_exact` per chunk of
+/// up to 32 values into a small stack buffer. Pre-allocation is capped
+/// at [`PREALLOC_CAP`] elements and the vector grows only by values
+/// that actually arrived, so a forged length prefix costs at most the
+/// bytes the reader can really produce plus one pre-allocated chunk.
+/// Many vectors are short, so the buffer is small and on the stack: a
+/// large one zeroed on every call, or a heap one, adds work per vector.
 pub fn r_u64s(r: &mut impl Read) -> io::Result<Vec<u64>> {
     let n = r_u64(r)? as usize;
     if n > (1 << 34) {
         return Err(io::Error::new(io::ErrorKind::InvalidData, "length prefix too large"));
     }
     let mut v = Vec::with_capacity(n.min(PREALLOC_CAP));
-    for i in 0..n {
-        // Reserve in capped steps rather than trusting `n`; a short
-        // read errors out of the loop before the next reservation.
-        if i == v.capacity() {
-            v.reserve((n - i).min(PREALLOC_CAP));
-        }
-        v.push(r_u64(r)?);
+    let mut buf = [0u8; 8 * 32];
+    while v.len() < n {
+        let chunk = &mut buf[..8 * (n - v.len()).min(32)];
+        r.read_exact(chunk)?;
+        v.extend(chunk.chunks_exact(8).map(|b| u64::from_le_bytes(b.try_into().expect("8-byte chunk"))));
     }
     Ok(v)
 }
@@ -260,6 +261,33 @@ mod tests {
                 "cut at {cut} must fail"
             );
         }
+    }
+
+    #[test]
+    fn u64s_roundtrip_across_chunk_boundaries() {
+        for n in [0, 1, 7, PREALLOC_CAP - 1, PREALLOC_CAP, PREALLOC_CAP + 1, 3 * PREALLOC_CAP + 5] {
+            let vs: Vec<u64> = (0..n as u64).map(|i| i.wrapping_mul(0x9E37_79B9_7F4A_7C15)).collect();
+            let mut bytes = Vec::new();
+            w_u64s(&mut bytes, &vs).unwrap();
+            bytes.push(0xAB);
+            let mut r = bytes.as_slice();
+            assert_eq!(r_u64s(&mut r).unwrap(), vs, "n = {n}");
+            assert_eq!(r, [0xAB], "n = {n}: read past the vector");
+            for cut in [8 + 8 * n - 1, 8 + 4 * n] {
+                if n > 0 {
+                    assert!(r_u64s(&mut &bytes[..cut]).is_err(), "n = {n} cut at {cut}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn forged_u64s_length_fails_on_the_missing_bytes() {
+        let mut bytes = Vec::new();
+        w_u64(&mut bytes, 1 << 33).unwrap();
+        bytes.extend_from_slice(&[7u8; 80]);
+        let err = r_u64s(&mut bytes.as_slice()).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::UnexpectedEof);
     }
 
     #[test]
